@@ -17,7 +17,6 @@
 //! sync with that script.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-use drain_bench::scheme::DrainVariant;
 use drain_bench::Scheme;
 use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::RngMode;
@@ -78,45 +77,6 @@ fn bench(c: &mut Criterion) {
     g.finish();
 }
 
-/// Serial (K=1) saturated mesh(16,16) preset over the three headline
-/// schemes — the same topology/rate/cycle-count as the sharded group
-/// below, so its per-K numbers have a same-preset serial comparison
-/// that is not drain-only. `scripts/bench_kernel.sh --shards` records
-/// these medians next to the shard medians in BENCH_kernel.json.
-fn bench_mesh16_serial(c: &mut Criterion) {
-    let topo = Topology::mesh(16, 16);
-    let cycles = 1_500u64;
-    let mut g = c.benchmark_group("sim_kernel_mesh16");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(cycles));
-    for scheme in Scheme::headline() {
-        g.bench_with_input(
-            BenchmarkId::new("saturated", scheme_id(scheme)),
-            &scheme,
-            |b, &s| {
-                b.iter_batched(
-                    || {
-                        s.synthetic_sim(
-                            &topo,
-                            true,
-                            SyntheticPattern::UniformRandom,
-                            0.40,
-                            1,
-                            Scheme::DEFAULT_EPOCH,
-                        )
-                    },
-                    |mut sim| {
-                        sim.run(cycles);
-                        sim.stats().ejected
-                    },
-                    BatchSize::PerIteration,
-                );
-            },
-        );
-    }
-    g.finish();
-}
-
 /// Congested irregular network — the regime the wake-driven Phase A
 /// scheduler targets: a faulty mesh(12,12) (24 random links removed)
 /// past its (much lower) saturation point, where blocked episodes span
@@ -169,48 +129,5 @@ fn bench_irregular(c: &mut Criterion) {
     g.finish();
 }
 
-/// Shard-count scaling of the allocation kernel: one saturated DRAIN
-/// point on mesh(16,16) per shard count K ∈ {1, 2, 4, 8}, the sharded
-/// path forced on from cycle 0. `scripts/bench_kernel.sh --shards`
-/// records these medians into BENCH_kernel.json; keep the cycle count
-/// and benchmark ids in sync with that script.
-fn bench_shards(c: &mut Criterion) {
-    let topo = Topology::mesh(16, 16);
-    let cycles = 1_500u64;
-    let mut g = c.benchmark_group("sim_kernel_shards");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(cycles));
-    for k in [1usize, 2, 4, 8] {
-        g.bench_with_input(BenchmarkId::new("mesh16", format!("k{k}")), &k, |b, &k| {
-            b.iter_batched(
-                || {
-                    let mut sim = Scheme::Drain(DrainVariant::Vn1Vc2).synthetic_sim(
-                        &topo,
-                        true,
-                        SyntheticPattern::UniformRandom,
-                        0.40,
-                        1,
-                        Scheme::DEFAULT_EPOCH,
-                    );
-                    sim.set_shards(k);
-                    sim
-                },
-                |mut sim| {
-                    sim.run(cycles);
-                    sim.stats().ejected
-                },
-                BatchSize::PerIteration,
-            );
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench,
-    bench_mesh16_serial,
-    bench_irregular,
-    bench_shards
-);
+criterion_group!(benches, bench, bench_irregular);
 criterion_main!(benches);

@@ -17,17 +17,15 @@
 //! ```text
 //! drain_fuzz [--points N] [--seed S] [--inject CYCLES] [--smoke]
 //!            [--baseline escape-vc|spin|updown|ideal] [--seed-fault]
-//!            [--shards K] [--rng-mode stream|keyed] [--json PATH]
+//!            [--rng-mode stream|keyed] [--json PATH]
 //! ```
 //!
-//! `--smoke` is the CI preset (few points, short runs, and the 2-shard
-//! kernel so CI soaks shard determinism; used by `scripts/check.sh`).
+//! `--smoke` is the CI preset (few points, short runs; used by
+//! `scripts/check.sh`).
 //! `--seed-fault` corrupts the DRAIN turn-table on every point through
 //! the drainpath crate's test-only hook and *expects* the checker to
 //! catch each one — exit code 0 iff every seeded fault is detected.
-//! `--shards K` runs both legs of every point on the K-shard allocation
-//! kernel, which must not change any verdict (it is bit-identical to the
-//! serial kernel). `--rng-mode keyed` runs both legs of every point
+//! `--rng-mode keyed` runs both legs of every point
 //! under the keyed counter-based sample mixer (see
 //! [`drain_netsim::rng`]); tie-breaks differ from stream mode but every
 //! verdict must still hold — including `--seed-fault` detection, which
@@ -41,6 +39,7 @@ use rand_chacha::ChaCha8Rng;
 use drain_baselines::assemble::Baseline;
 use drain_bench::engine::SweepEngine;
 use drain_bench::json::{num, Json};
+use drain_bench::knobs;
 use drain_bench::oracle::{run_oracle, FaultSeed, OracleReport, OracleSpec};
 use drain_bench::sweep::plan::TopoSpec;
 use drain_bench::table::banner;
@@ -105,7 +104,6 @@ fn gen_point(i: usize, base_seed: u64, inject_cycles: u64, fault: FaultSeed) -> 
         drain_budget: 150_000,
         baseline: Baseline::EscapeVc,
         flightrec_dir: None,
-        shards: 1,
         rng_mode: RngMode::Stream,
     };
     if fault != FaultSeed::None {
@@ -165,7 +163,6 @@ fn point_json(p: &FuzzPoint, r: &OracleReport, ok: bool) -> Json {
         ("epoch", num(p.spec.epoch as f64)),
         ("full_drain_period", num(p.spec.full_drain_period as f64)),
         ("baseline", Json::Str(p.spec.baseline.name().to_string())),
-        ("shards", num(p.spec.shards as f64)),
         ("rng_mode", Json::Str(p.spec.rng_mode.label().to_string())),
         ("seeded_fault", Json::Bool(p.fault != FaultSeed::None)),
         ("ok", Json::Bool(ok)),
@@ -189,7 +186,6 @@ struct Args {
     inject: u64,
     seed_fault: bool,
     baseline: Baseline,
-    shards: usize,
     rng_mode: RngMode,
     json_path: String,
 }
@@ -201,7 +197,6 @@ fn parse_args() -> Args {
         inject: 3_000,
         seed_fault: false,
         baseline: Baseline::EscapeVc,
-        shards: 1,
         rng_mode: RngMode::Stream,
         json_path: "results/drain_fuzz.json".to_string(),
     };
@@ -217,23 +212,19 @@ fn parse_args() -> Args {
             "--inject" => args.inject = val("--inject").parse().expect("--inject"),
             "--json" => args.json_path = val("--json"),
             "--seed-fault" => args.seed_fault = true,
-            "--shards" => args.shards = val("--shards").parse().expect("--shards"),
             "--rng-mode" => {
                 let v = val("--rng-mode");
                 args.rng_mode = RngMode::parse(&v)
                     .unwrap_or_else(|| panic!("--rng-mode must be 'stream' or 'keyed', got {v:?}"));
             }
             "--smoke" => {
+                // The wake-driven Phase A scheduler is on (config default)
+                // for every leg, so the smoke also soaks the wake graph —
+                // including the deep sweep's missed-wake oracle — and
+                // sabotage injection (`--seed-fault`) covers the wake
+                // path too.
                 args.points = 24;
                 args.inject = 1_500;
-                // CI smoke doubles as the shard-determinism soak: every
-                // point runs on the 2-shard kernel, whose verdicts must
-                // match the serial kernel's exactly. The wake-driven
-                // Phase A scheduler is on (config default) for every leg,
-                // so the smoke also soaks the wake graph — including the
-                // deep sweep's missed-wake oracle — and sabotage
-                // injection (`--seed-fault`) covers the wake path too.
-                args.shards = 2;
             }
             "--baseline" => {
                 args.baseline = match val("--baseline").as_str() {
@@ -250,9 +241,8 @@ fn parse_args() -> Args {
     // Resolve the DRAIN_RNG override here, not only inside the oracle's
     // config builder, so the recorded point JSON labels the mode the
     // simulations actually ran under.
-    if let Ok(v) = std::env::var("DRAIN_RNG") {
-        args.rng_mode = RngMode::parse(&v)
-            .unwrap_or_else(|| panic!("DRAIN_RNG must be 'stream' or 'keyed', got {v:?}"));
+    if let Some(mode) = knobs::RNG.get() {
+        args.rng_mode = mode;
     }
     args
 }
@@ -287,7 +277,6 @@ fn main() {
         .map(|i| {
             let mut p = gen_point(i, args.seed, args.inject, fault);
             p.spec.baseline = args.baseline;
-            p.spec.shards = args.shards;
             p.spec.rng_mode = args.rng_mode;
             p.spec.flightrec_dir = Some(flightrec_dir.clone());
             p

@@ -24,7 +24,7 @@
 //! ```text
 //! drain_metrics [--mesh WxH] [--rate R] [--cycles N] [--points K]
 //!               [--profile-period P] [--telemetry-period T]
-//!               [--snapshot-period S] [--shards K] [--seed S]
+//!               [--snapshot-period S] [--seed S]
 //!               [--listen ADDR] [--out DIR]
 //! ```
 
@@ -49,7 +49,6 @@ struct Args {
     profile_period: u64,
     telemetry_period: u64,
     snapshot_period: u64,
-    shards: usize,
     seed: u64,
     listen: Option<String>,
     out: PathBuf,
@@ -64,7 +63,6 @@ fn parse_args() -> Args {
         profile_period: 64,
         telemetry_period: 256,
         snapshot_period: 4_096,
-        shards: 1,
         seed: 1,
         listen: None,
         out: results_dir().join("metrics"),
@@ -94,7 +92,6 @@ fn parse_args() -> Args {
             "--snapshot-period" => {
                 args.snapshot_period = val("--snapshot-period").parse().expect("--snapshot-period")
             }
-            "--shards" => args.shards = val("--shards").parse().expect("--shards"),
             "--seed" => args.seed = val("--seed").parse().expect("--seed"),
             "--listen" => args.listen = Some(val("--listen")),
             "--out" => args.out = PathBuf::from(val("--out")),
@@ -141,9 +138,6 @@ fn streaming_phase(args: &Args, topo: &Topology, server: Option<&MetricsServer>)
         trace_cfg,
     );
     sim.set_profile_period(args.profile_period);
-    if args.shards > 1 {
-        sim.set_shards(args.shards);
-    }
 
     let mut stream = String::new();
     let mut next = 0;

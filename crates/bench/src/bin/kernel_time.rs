@@ -12,16 +12,13 @@
 //!
 //! Usage:
 //!   kernel_time [--preset saturated|congested|mesh16|all] [--reps N]
-//!               [--shards K]
 //!
 //! Presets mirror `crates/bench/benches/sim_kernel.rs` exactly:
 //! `saturated` is the dense mesh(8,8) point (40% uniform-random,
 //! 5 000 cycles), `congested` the irregular faulty mesh(12,12) point
-//! (24 seeded link faults, 25%, 2 000 cycles), `mesh16` the sharded
-//! group's saturated mesh(16,16) point (40%, 1 500 cycles — pair it
-//! with `--shards` to time the keyed planners' census retirement;
-//! `all` covers the first two). One JSON line per (preset, scheme)
-//! goes to stdout; pipe it wherever.
+//! (24 seeded link faults, 25%, 2 000 cycles), `mesh16` a saturated
+//! mesh(16,16) point (40%, 1 500 cycles; `all` covers the first two).
+//! One JSON line per (preset, scheme) goes to stdout; pipe it wherever.
 
 use std::time::Instant;
 
@@ -82,7 +79,7 @@ fn presets(which: &str) -> Vec<Preset> {
 
 /// One timed `Sim::run` under `mode`; construction is excluded, like
 /// the criterion bench. Returns (elapsed ns, delivered packets).
-fn run_once(p: &Preset, scheme: Scheme, mode: RngMode, shards: usize) -> (u128, u64) {
+fn run_once(p: &Preset, scheme: Scheme, mode: RngMode) -> (u128, u64) {
     let mut sim: Sim = scheme.synthetic_sim(
         &p.topo,
         p.eject,
@@ -92,7 +89,6 @@ fn run_once(p: &Preset, scheme: Scheme, mode: RngMode, shards: usize) -> (u128, 
         p.epoch,
     );
     sim.set_rng_mode(mode);
-    sim.set_shards(shards);
     let t = Instant::now();
     sim.run(p.cycles);
     (t.elapsed().as_nanos(), sim.stats().ejected)
@@ -101,7 +97,6 @@ fn run_once(p: &Preset, scheme: Scheme, mode: RngMode, shards: usize) -> (u128, 
 fn main() {
     let mut preset = "all".to_string();
     let mut reps = 7usize;
-    let mut shards = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -112,13 +107,6 @@ fn main() {
                     .expect("--reps needs a value")
                     .parse()
                     .expect("--reps needs an integer")
-            }
-            "--shards" => {
-                shards = args
-                    .next()
-                    .expect("--shards needs a value")
-                    .parse()
-                    .expect("--shards needs an integer")
             }
             other => panic!("unknown flag {other:?}"),
         }
@@ -133,7 +121,7 @@ fn main() {
                 let n = if warm { 1 } else { reps };
                 for _ in 0..n {
                     for (i, mode) in [RngMode::Stream, RngMode::Keyed].into_iter().enumerate() {
-                        let (ns, ejected) = run_once(&p, scheme, mode, shards);
+                        let (ns, ejected) = run_once(&p, scheme, mode);
                         if !warm {
                             best[i] = best[i].min(ns);
                             delivered[i] = ejected;
@@ -147,13 +135,12 @@ fn main() {
             );
             let npc = |ns: u128| ns as f64 / p.cycles as f64;
             println!(
-                "{{\"preset\":\"{}\",\"scheme\":\"{}\",\"shards\":{},\"reps\":{},\
+                "{{\"preset\":\"{}\",\"scheme\":\"{}\",\"reps\":{},\
                  \"stream_best_ns_per_cycle\":{:.1},\
                  \"keyed_best_ns_per_cycle\":{:.1},\
                  \"keyed_speedup\":{:.3}}}",
                 p.name,
                 scheme.label(),
-                shards,
                 reps,
                 npc(best[0]),
                 npc(best[1]),

@@ -65,7 +65,7 @@ impl ResultCache {
     /// Cache honouring the environment: `DRAIN_NO_CACHE=1` disables it,
     /// `DRAIN_CACHE_DIR` overrides the location.
     pub fn from_env() -> ResultCache {
-        if std::env::var("DRAIN_NO_CACHE").map(|v| v == "1").unwrap_or(false) {
+        if crate::knobs::NO_CACHE.get() == Some(true) {
             return ResultCache::disabled();
         }
         let dir = std::env::var("DRAIN_CACHE_DIR")

@@ -41,14 +41,13 @@ use drain_netsim::traffic::SyntheticPattern;
 use drain_netsim::MetricsSnapshot;
 
 /// Whether the engine should paint a live progress line on stderr:
-/// `DRAIN_PROGRESS=0` disables it, any other value forces it on, and when
-/// unset it follows whether stderr is a terminal (so redirected/CI runs
-/// stay clean).
+/// `DRAIN_PROGRESS=0` disables it, `DRAIN_PROGRESS=1` forces it on, and
+/// when unset it follows whether stderr is a terminal (so redirected/CI
+/// runs stay clean).
 fn progress_enabled() -> bool {
-    match std::env::var("DRAIN_PROGRESS") {
-        Ok(v) => v.trim() != "0",
-        Err(_) => std::io::stderr().is_terminal(),
-    }
+    crate::knobs::PROGRESS
+        .get()
+        .unwrap_or_else(|| std::io::stderr().is_terminal())
 }
 
 /// A `\r`-rewritten stderr progress line for one batch of jobs; a no-op

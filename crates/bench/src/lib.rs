@@ -17,6 +17,7 @@
 //! The building blocks live here:
 //!
 //! * [`scale`] — run-length/seed policy (`DRAIN_SCALE`).
+//! * [`knobs`] — the validated `DRAIN_*` environment knobs.
 //! * [`scheme`] — assembling each evaluated scheme (escape VC, SPIN, the
 //!   three DRAIN configurations, ideal, up*/down*) for synthetic and
 //!   coherence workloads.
@@ -41,6 +42,7 @@ pub mod apps;
 pub mod cache;
 pub mod engine;
 pub mod json;
+pub mod knobs;
 pub mod oracle;
 pub mod report;
 pub mod runner;

@@ -72,11 +72,6 @@ pub struct OracleSpec {
     /// [`drain_netsim::trace`]); the dump path lands in
     /// [`LegReport::flight_record`].
     pub flightrec_dir: Option<PathBuf>,
-    /// Shard count for both legs' allocation kernels (1 = serial). The
-    /// sharded kernel is bit-identical to the serial one, so any value
-    /// here must leave every oracle verdict unchanged — running fuzz
-    /// sweeps at `shards > 1` soaks that claim.
-    pub shards: usize,
     /// RNG mode for both legs (see [`drain_netsim::rng`]). Both legs
     /// always run under the *same* mode — the oracle compares delivery
     /// multisets, which tolerate different routing tie-breaks, so either
@@ -144,11 +139,7 @@ fn checked_config(mut config: SimConfig, spec: &OracleSpec) -> SimConfig {
     config.num_classes = 1;
     config.watchdog_threshold = 0;
     config.seed = spec.seed;
-    config.shards = spec.shards;
     config.rng_mode = spec.rng_mode;
-    // Fuzz topologies are small; force the sharded path on from cycle 0
-    // so the whole run exercises it, not just the saturated stretch.
-    config.shard_min_active = 0;
     config.checks = CheckConfig::full()
         .no_panic()
         .with_progress_horizon(spec.progress_horizon());
@@ -316,7 +307,6 @@ mod tests {
             drain_budget: 60_000,
             baseline: Baseline::EscapeVc,
             flightrec_dir: None,
-            shards: 1,
             rng_mode: RngMode::Stream,
         }
     }

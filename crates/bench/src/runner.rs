@@ -13,17 +13,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Worker-thread count: `DRAIN_THREADS` when set (≥ 1), otherwise the
+/// Worker-thread count: `DRAIN_THREADS` when set, otherwise the
 /// machine's available parallelism.
+///
+/// # Panics
+///
+/// Panics when `DRAIN_THREADS` is set to anything but an integer ≥ 1.
 pub fn worker_threads() -> usize {
-    if let Ok(v) = std::env::var("DRAIN_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    crate::knobs::THREADS.get().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Per-job timing reported by the pool alongside each result.

@@ -12,11 +12,12 @@ pub enum Scale {
 
 impl Scale {
     /// Reads `DRAIN_SCALE` (`quick` | `full`); defaults to `Quick`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `DRAIN_SCALE` is set to any other value.
     pub fn from_env() -> Scale {
-        match std::env::var("DRAIN_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
-        }
+        crate::knobs::SCALE.get().unwrap_or(Scale::Quick)
     }
 
     /// Fault patterns (seeds) per configuration point (paper: 10).
@@ -92,7 +93,7 @@ mod tests {
     #[test]
     fn env_parsing_defaults_to_quick() {
         // Do not mutate the environment (tests run in parallel); just
-        // check the default path with the variable absent or unexpected.
+        // check the default path with the variable absent.
         assert_eq!(Scale::from_env().seeds(), Scale::from_env().seeds());
     }
 }

@@ -5,10 +5,12 @@ use drain_coherence::{CoherenceConfig, CoherenceEngine};
 use drain_core::{DrainConfig, DrainMechanism};
 use drain_netsim::routing::FullyAdaptive;
 use drain_netsim::traffic::{Endpoints, SyntheticPattern, SyntheticTraffic};
-use drain_netsim::{RngMode, Sim, SimConfig, TraceConfig};
+use drain_netsim::{Sim, SimConfig, TraceConfig};
 use drain_path::DrainPath;
 use drain_topology::Topology;
 use drain_workloads::{AppModel, AppTrace};
+
+use crate::knobs;
 
 /// DRAIN buffer configurations evaluated in Figs 12/13.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,12 +51,8 @@ impl DrainVariant {
 /// Honoured by every [`Scheme`]-built simulation and by the differential
 /// oracle (so `drain_fuzz` can be forced onto either path).
 pub fn phase_a_env_override(config: &mut SimConfig) {
-    if let Ok(v) = std::env::var("DRAIN_PHASE_A") {
-        match v.trim() {
-            "dense" => config.wake_scheduler = false,
-            "wake" => config.wake_scheduler = true,
-            other => panic!("DRAIN_PHASE_A must be 'wake' or 'dense', got {other:?}"),
-        }
+    if let Some(wake) = knobs::PHASE_A.get() {
+        config.wake_scheduler = wake;
     }
 }
 
@@ -64,17 +62,14 @@ pub fn phase_a_env_override(config: &mut SimConfig) {
 /// [`drain_netsim::rng`]), `stream` (re-)selects the default serial
 /// draw stream. The two modes produce *different* (equally valid)
 /// random sequences — results are NOT bit-identical across modes, only
-/// within one — so unlike `DRAIN_PHASE_A`/`DRAIN_SHARDS` this knob is
+/// within one — so unlike `DRAIN_PHASE_A` this knob is
 /// for the keyed pin family, differentials and benchmarks, not for
 /// transparently re-running cached figures. Honoured by every
 /// [`Scheme`]-built simulation and by the differential oracle (it
 /// overrides `drain_fuzz --rng-mode`).
 pub fn rng_env_override(config: &mut SimConfig) {
-    if let Ok(v) = std::env::var("DRAIN_RNG") {
-        match RngMode::parse(v.trim()) {
-            Some(mode) => config.rng_mode = mode,
-            None => panic!("DRAIN_RNG must be 'stream' or 'keyed', got {v:?}"),
-        }
+    if let Some(mode) = knobs::RNG.get() {
+        config.rng_mode = mode;
     }
 }
 
@@ -133,19 +128,6 @@ impl Scheme {
         seed: u64,
     ) -> Sim {
         config.seed = seed;
-        // `DRAIN_SHARDS=K` runs every experiment simulation on the
-        // K-shard allocation kernel. The sharded kernel is bit-identical
-        // to the serial one (enforced by the determinism and golden-pin
-        // suites), which is also why the result cache deliberately does
-        // NOT key on the shard count: cached serial results stay valid.
-        if let Ok(v) = std::env::var("DRAIN_SHARDS") {
-            let k: usize = v
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("DRAIN_SHARDS must be an integer, got {v:?}"));
-            config.shards = k;
-            config.shard_min_active = 0;
-        }
         phase_a_env_override(&mut config);
         rng_env_override(&mut config);
         // `DRAIN_PROFILE=P` turns on the kernel phase profiler (sample
@@ -153,11 +135,7 @@ impl Scheme {
         // is a pure observer — bit-identical results at any cadence,
         // enforced by the metrics differential suite and the golden pins
         // — so the result cache deliberately does not key on it either.
-        if let Ok(v) = std::env::var("DRAIN_PROFILE") {
-            let p: u64 = v
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("DRAIN_PROFILE must be an integer, got {v:?}"));
+        if let Some(p) = knobs::PROFILE.get() {
             config.metrics.profile_period = p;
         }
         match self {

@@ -5,20 +5,15 @@
 //! 3. the occupancy-driven kernel's idle-cycle fast-forward is invisible:
 //!    the same seeded point produces identical [`drain_netsim::Stats`] and
 //!    byte-identical traces with the gate forced off and on,
-//! 4. the sharded allocation kernel is invisible: the same seeded point
-//!    produces identical [`drain_netsim::Stats`], the same final cycle and
-//!    byte-identical traces at every shard count,
-//! 5. the wake-driven Phase A scheduler is invisible: the same seeded
+//! 4. the wake-driven Phase A scheduler is invisible: the same seeded
 //!    point produces identical [`drain_netsim::Stats`], the same final
 //!    cycle and byte-identical traces with blocked-VC parking on and with
-//!    the dense re-route-every-cycle scan forced, at every shard count,
-//! 6. the keyed counter-based RNG (`RngMode::Keyed`) is deterministic by
+//!    the dense re-route-every-cycle scan forced,
+//! 5. the keyed counter-based RNG (`RngMode::Keyed`) is deterministic by
 //!    construction: the same seeded point produces identical
 //!    [`drain_netsim::Stats`], the same final cycle, the same draw
 //!    counts and byte-identical traces across every cell of the
-//!    K ∈ {1, 2, 4, 8} × wake on/off × fast-forward on/off × profiler
-//!    cadence matrix — and the sharded planners produce exactly the
-//!    serial kernel's draw volume (no census replay).
+//!    wake on/off × fast-forward on/off × profiler cadence matrix.
 
 use drain_bench::engine::SweepEngine;
 use drain_bench::cache::ResultCache;
@@ -207,103 +202,18 @@ fn fast_forward_gate_keeps_traces_byte_identical() {
     }
 }
 
-/// One seeded point on the `shards`-way kernel (1 = serial reference).
-/// Forces the sharded path from cycle 0 via `set_shards`.
-fn point_stats_sharded(scheme: Scheme, rate: f64, shards: usize) -> (Stats, u64) {
-    let topo = irregular_topo();
-    let mut sim =
-        scheme.synthetic_sim(&topo, false, SyntheticPattern::UniformRandom, rate, 11, 512);
-    sim.set_shards(shards);
-    sim.run(6_000);
-    (sim.stats().clone(), sim.core().cycle())
-}
-
-/// Sharded-kernel differential: every headline scheme at a low and a
-/// saturated rate must produce identical `Stats` (every counter and full
-/// latency histograms) and the same final cycle on the 2- and 4-shard
-/// kernels as on the serial kernel.
-#[test]
-fn sharded_kernel_is_bit_identical_across_schemes() {
-    for scheme in Scheme::headline() {
-        for rate in [0.01, 0.35] {
-            let (serial, serial_cycle) = point_stats_sharded(scheme, rate, 1);
-            assert!(serial.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
-            for k in [2usize, 4] {
-                let (sharded, cycle) = point_stats_sharded(scheme, rate, k);
-                assert_eq!(
-                    serial,
-                    sharded,
-                    "{} at rate {rate}: stats must not depend on shard count {k}",
-                    scheme.label()
-                );
-                assert_eq!(
-                    serial_cycle,
-                    cycle,
-                    "{} at rate {rate}: final cycle must not depend on shard count {k}",
-                    scheme.label()
-                );
-            }
-        }
-    }
-}
-
-/// Same differential on the trace stream: with event capture on, the
-/// serial and the 2-/4-shard kernels must yield byte-identical JSONL.
-#[test]
-fn sharded_kernel_keeps_traces_byte_identical() {
-    let topo = irregular_topo();
-    for scheme in Scheme::headline() {
-        let traced = |shards: usize| -> String {
-            let mut sim = scheme.synthetic_sim_traced(
-                &topo,
-                false,
-                SyntheticPattern::UniformRandom,
-                0.10,
-                11,
-                512,
-                1,
-                TraceConfig::events_on(),
-            );
-            sim.set_shards(shards);
-            sim.set_trace_sink(TraceSink::Memory(Vec::new()));
-            sim.run(2_000);
-            let events = sim
-                .core_mut()
-                .tracer_mut()
-                .take_memory()
-                .expect("memory sink installed");
-            assert!(!events.is_empty());
-            events
-                .iter()
-                .map(|e| e.to_jsonl() + "\n")
-                .collect()
-        };
-        let serial = traced(1);
-        for k in [2usize, 4] {
-            assert_eq!(
-                serial,
-                traced(k),
-                "{}: trace bytes must not depend on shard count {k}",
-                scheme.label()
-            );
-        }
-    }
-}
-
-/// One seeded point with the wake scheduler set to `wake` on the
-/// `shards`-way kernel. Returns the wake counters too, so callers can
-/// assert the parking path actually engaged.
+/// One seeded point with the wake scheduler set to `wake`. Returns the
+/// wake counters too, so callers can assert the parking path actually
+/// engaged.
 fn point_stats_wake(
     scheme: Scheme,
     rate: f64,
     wake: bool,
-    shards: usize,
 ) -> (Stats, u64, drain_netsim::WakeCounters) {
     let topo = irregular_topo();
     let mut sim =
         scheme.synthetic_sim(&topo, false, SyntheticPattern::UniformRandom, rate, 11, 512);
     sim.set_wake_scheduler(wake);
-    sim.set_shards(shards);
     sim.run(6_000);
     (
         sim.stats().clone(),
@@ -313,42 +223,40 @@ fn point_stats_wake(
 }
 
 /// Wake-scheduler differential: every headline scheme at a low and a
-/// saturated rate, on the serial and the 2-/4-shard kernels, must produce
-/// identical `Stats` (every counter and full latency histograms) and the
-/// same final cycle whether blocked VCs park on wake subscriptions or the
-/// dense Phase A scan re-routes them every cycle.
+/// saturated rate must produce identical `Stats` (every counter and full
+/// latency histograms) and the same final cycle whether blocked VCs park
+/// on wake subscriptions or the dense Phase A scan re-routes them every
+/// cycle.
 #[test]
 fn wake_scheduler_is_bit_identical_to_dense_scan() {
     for scheme in Scheme::headline() {
         for rate in [0.01, 0.35] {
-            for k in [1usize, 2, 4] {
-                let (dense, dense_cycle, dense_ctrs) = point_stats_wake(scheme, rate, false, k);
-                let (wake, wake_cycle, wake_ctrs) = point_stats_wake(scheme, rate, true, k);
-                assert_eq!(
-                    dense,
-                    wake,
-                    "{} at rate {rate}, {k} shards: stats must not depend on the wake scheduler",
+            let (dense, dense_cycle, dense_ctrs) = point_stats_wake(scheme, rate, false);
+            let (wake, wake_cycle, wake_ctrs) = point_stats_wake(scheme, rate, true);
+            assert_eq!(
+                dense,
+                wake,
+                "{} at rate {rate}: stats must not depend on the wake scheduler",
+                scheme.label()
+            );
+            assert_eq!(
+                dense_cycle,
+                wake_cycle,
+                "{} at rate {rate}: final cycle must not depend on the wake scheduler",
+                scheme.label()
+            );
+            assert!(wake.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
+            assert_eq!(
+                dense_ctrs.parks, 0,
+                "dense scan must never park ({})",
+                scheme.label()
+            );
+            if rate > 0.1 {
+                assert!(
+                    wake_ctrs.parks > 0 && wake_ctrs.skips > 0,
+                    "{} saturated: wake scheduler never engaged ({wake_ctrs:?})",
                     scheme.label()
                 );
-                assert_eq!(
-                    dense_cycle,
-                    wake_cycle,
-                    "{} at rate {rate}, {k} shards: final cycle must not depend on the wake scheduler",
-                    scheme.label()
-                );
-                assert!(wake.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
-                assert_eq!(
-                    dense_ctrs.parks, 0,
-                    "dense scan must never park ({})",
-                    scheme.label()
-                );
-                if rate > 0.1 {
-                    assert!(
-                        wake_ctrs.parks > 0 && wake_ctrs.skips > 0,
-                        "{} saturated at {k} shards: wake scheduler never engaged ({wake_ctrs:?})",
-                        scheme.label()
-                    );
-                }
             }
         }
     }
@@ -356,12 +264,12 @@ fn wake_scheduler_is_bit_identical_to_dense_scan() {
 
 /// Same differential on the trace stream: with event capture on, the
 /// wake-driven and dense Phase A schedulers must yield byte-identical
-/// JSONL at every shard count.
+/// JSONL.
 #[test]
 fn wake_scheduler_keeps_traces_byte_identical() {
     let topo = irregular_topo();
     for scheme in Scheme::headline() {
-        let traced = |wake: bool, shards: usize| -> String {
+        let traced = |wake: bool| -> String {
             let mut sim = scheme.synthetic_sim_traced(
                 &topo,
                 false,
@@ -373,7 +281,6 @@ fn wake_scheduler_keeps_traces_byte_identical() {
                 TraceConfig::events_on(),
             );
             sim.set_wake_scheduler(wake);
-            sim.set_shards(shards);
             sim.set_trace_sink(TraceSink::Memory(Vec::new()));
             sim.run(2_000);
             let events = sim
@@ -387,26 +294,21 @@ fn wake_scheduler_keeps_traces_byte_identical() {
                 .map(|e| e.to_jsonl() + "\n")
                 .collect()
         };
-        for k in [1usize, 2, 4] {
-            assert_eq!(
-                traced(false, k),
-                traced(true, k),
-                "{}: trace bytes must not depend on the wake scheduler at {k} shards",
-                scheme.label()
-            );
-        }
+        assert_eq!(
+            traced(false),
+            traced(true),
+            "{}: trace bytes must not depend on the wake scheduler",
+            scheme.label()
+        );
     }
 }
 
-/// One seeded keyed-mode point across the full determinism matrix:
-/// shard count, wake scheduler, fast-forward gate, profiler cadence.
-/// Returns the per-site draw counts too, so callers can prove the
-/// sharded planners draw exactly the serial volume (no census replay)
-/// and that parked heads draw nothing.
+/// One seeded keyed-mode point across the full determinism matrix: wake
+/// scheduler, fast-forward gate, profiler cadence. Returns the per-site
+/// draw counts too, so callers can prove that parked heads draw nothing.
 fn point_stats_keyed(
     scheme: Scheme,
     rate: f64,
-    shards: usize,
     wake: bool,
     ff: bool,
     profile_period: u64,
@@ -415,7 +317,6 @@ fn point_stats_keyed(
     let mut sim =
         scheme.synthetic_sim(&topo, false, SyntheticPattern::UniformRandom, rate, 11, 512);
     sim.set_rng_mode(RngMode::Keyed);
-    sim.set_shards(shards);
     sim.set_wake_scheduler(wake);
     sim.set_fast_forward(ff);
     sim.set_profile_period(profile_period);
@@ -429,37 +330,27 @@ fn point_stats_keyed(
 
 /// Keyed-mode differential: every headline scheme at a low and a
 /// saturated rate must produce identical `Stats`, the same final cycle
-/// *and the same per-site draw counts* at K ∈ {1, 2, 4, 8} with
-/// fast-forward on and off. Equal draw counts across K are the census
-/// retirement made observable: a stream-mode sharded planner replays
-/// the whole census K times, a keyed planner sweeps only owned slots.
+/// *and the same per-site draw counts* with fast-forward on and off.
 #[test]
-fn keyed_mode_is_bit_identical_across_shards_and_fast_forward() {
+fn keyed_mode_is_bit_identical_across_fast_forward() {
     for scheme in Scheme::headline() {
         for rate in [0.01, 0.35] {
-            let (serial, serial_cycle, serial_draws) =
-                point_stats_keyed(scheme, rate, 1, true, true, 0);
-            assert!(serial.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
-            for k in [2usize, 4, 8] {
-                for ff in [true, false] {
-                    let (sharded, cycle, draws) =
-                        point_stats_keyed(scheme, rate, k, true, ff, 0);
-                    assert_eq!(
-                        serial,
-                        sharded,
-                        "{} at rate {rate}: keyed stats diverged at shards={k} ff={ff}",
-                        scheme.label()
-                    );
-                    assert_eq!(serial_cycle, cycle);
-                    assert_eq!(
-                        serial_draws,
-                        draws,
-                        "{} at rate {rate}: keyed draw counts diverged at shards={k} ff={ff} \
-                         (sharded planners must not replay the census)",
-                        scheme.label()
-                    );
-                }
-            }
+            let (on, on_cycle, on_draws) = point_stats_keyed(scheme, rate, true, true, 0);
+            assert!(on.ejected > 0, "{} at rate {rate} delivered nothing", scheme.label());
+            let (off, off_cycle, off_draws) = point_stats_keyed(scheme, rate, true, false, 0);
+            assert_eq!(
+                on,
+                off,
+                "{} at rate {rate}: keyed stats diverged with fast-forward off",
+                scheme.label()
+            );
+            assert_eq!(on_cycle, off_cycle);
+            assert_eq!(
+                on_draws,
+                off_draws,
+                "{} at rate {rate}: keyed draw counts diverged with fast-forward off",
+                scheme.label()
+            );
         }
     }
 }
@@ -474,34 +365,28 @@ fn keyed_mode_is_bit_identical_across_shards_and_fast_forward() {
 fn keyed_wake_scheduler_is_bit_identical_and_parked_heads_draw_nothing() {
     for scheme in Scheme::headline() {
         for rate in [0.01, 0.35] {
-            for k in [1usize, 4] {
-                let (dense, dense_cycle, dense_draws) =
-                    point_stats_keyed(scheme, rate, k, false, true, 0);
-                let (wake, wake_cycle, wake_draws) =
-                    point_stats_keyed(scheme, rate, k, true, true, 0);
-                assert_eq!(
-                    dense,
-                    wake,
-                    "{} at rate {rate}, {k} shards: keyed stats must not depend on the wake scheduler",
-                    scheme.label()
+            let (dense, dense_cycle, dense_draws) = point_stats_keyed(scheme, rate, false, true, 0);
+            let (wake, wake_cycle, wake_draws) = point_stats_keyed(scheme, rate, true, true, 0);
+            assert_eq!(
+                dense,
+                wake,
+                "{} at rate {rate}: keyed stats must not depend on the wake scheduler",
+                scheme.label()
+            );
+            assert_eq!(dense_cycle, wake_cycle);
+            assert_eq!(
+                dense_draws[DrawSite::Injection.index()],
+                wake_draws[DrawSite::Injection.index()],
+                "wake scheduling must not change injection draws"
+            );
+            if rate > 0.1 {
+                assert!(
+                    wake_draws[DrawSite::PhaseA.index()] < dense_draws[DrawSite::PhaseA.index()],
+                    "{} saturated: parked heads must skip their draws (wake {} vs dense {})",
+                    scheme.label(),
+                    wake_draws[DrawSite::PhaseA.index()],
+                    dense_draws[DrawSite::PhaseA.index()]
                 );
-                assert_eq!(dense_cycle, wake_cycle);
-                assert_eq!(
-                    dense_draws[DrawSite::Injection.index()],
-                    wake_draws[DrawSite::Injection.index()],
-                    "wake scheduling must not change injection draws"
-                );
-                if rate > 0.1 {
-                    assert!(
-                        wake_draws[DrawSite::PhaseA.index()]
-                            < dense_draws[DrawSite::PhaseA.index()],
-                        "{} saturated at {k} shards: parked heads must skip their draws \
-                         (wake {} vs dense {})",
-                        scheme.label(),
-                        wake_draws[DrawSite::PhaseA.index()],
-                        dense_draws[DrawSite::PhaseA.index()]
-                    );
-                }
             }
         }
     }
@@ -513,23 +398,22 @@ fn keyed_wake_scheduler_is_bit_identical_and_parked_heads_draw_nothing() {
 #[test]
 fn keyed_mode_is_bit_identical_across_profile_cadence() {
     let scheme = Scheme::Drain(DrainVariant::Vn1Vc2);
-    let (base, base_cycle, base_draws) = point_stats_keyed(scheme, 0.35, 2, true, true, 0);
+    let (base, base_cycle, base_draws) = point_stats_keyed(scheme, 0.35, true, true, 0);
     for period in [1u64, 64, 1024] {
-        let (got, cycle, draws) = point_stats_keyed(scheme, 0.35, 2, true, true, period);
+        let (got, cycle, draws) = point_stats_keyed(scheme, 0.35, true, true, period);
         assert_eq!(base, got, "profiler cadence {period} perturbed keyed stats");
         assert_eq!(base_cycle, cycle);
         assert_eq!(base_draws, draws);
     }
 }
 
-/// Keyed-mode trace differential: with event capture on, the serial and
-/// the 2-/4-/8-shard kernels must yield byte-identical JSONL, wake on
-/// and off.
+/// Keyed-mode trace differential: with event capture on, the wake-driven
+/// and dense Phase A schedulers must yield byte-identical JSONL.
 #[test]
 fn keyed_mode_keeps_traces_byte_identical() {
     let topo = irregular_topo();
     for scheme in Scheme::headline() {
-        let traced = |shards: usize, wake: bool| -> String {
+        let traced = |wake: bool| -> String {
             let mut sim = scheme.synthetic_sim_traced(
                 &topo,
                 false,
@@ -541,7 +425,6 @@ fn keyed_mode_keeps_traces_byte_identical() {
                 TraceConfig::events_on(),
             );
             sim.set_rng_mode(RngMode::Keyed);
-            sim.set_shards(shards);
             sim.set_wake_scheduler(wake);
             sim.set_trace_sink(TraceSink::Memory(Vec::new()));
             sim.run(2_000);
@@ -556,17 +439,12 @@ fn keyed_mode_keeps_traces_byte_identical() {
                 .map(|e| e.to_jsonl() + "\n")
                 .collect()
         };
-        let serial = traced(1, true);
-        for k in [2usize, 4, 8] {
-            for wake in [true, false] {
-                assert_eq!(
-                    serial,
-                    traced(k, wake),
-                    "{}: keyed trace bytes diverged at shards={k} wake={wake}",
-                    scheme.label()
-                );
-            }
-        }
+        assert_eq!(
+            traced(true),
+            traced(false),
+            "{}: keyed trace bytes diverged with the wake scheduler off",
+            scheme.label()
+        );
     }
 }
 

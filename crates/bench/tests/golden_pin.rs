@@ -9,9 +9,7 @@
 //!
 //! The pinned digests were captured on the occupancy-driven kernel (PR 5)
 //! and must survive the struct-of-arrays arena refactor (PR 6) unchanged:
-//! same seeds, same cycles, same bytes. The sharded kernel (PR 7) is held
-//! to the same constants: the 4-shard runs below must reproduce the
-//! digests captured on the serial kernel bit for bit.
+//! same seeds, same cycles, same bytes.
 //!
 //! Two pin families exist, one per RNG determinism contract (see
 //! `drain_netsim::rng`): the `PINNED_*` constants are the original
@@ -54,7 +52,7 @@ fn headline() -> [(&'static str, Scheme); 3] {
 /// injection (far past saturation, the bench's `saturated` preset rate),
 /// a short drain epoch so forced movement appears in-window, 2 000 cycles
 /// of JSONL event bytes.
-fn saturated_trace_digest(scheme: Scheme, shards: usize, mode: RngMode) -> u64 {
+fn saturated_trace_digest(scheme: Scheme, mode: RngMode) -> u64 {
     let topo = Topology::mesh(4, 4);
     let mut sim = scheme.synthetic_sim_traced(
         &topo,
@@ -67,7 +65,6 @@ fn saturated_trace_digest(scheme: Scheme, shards: usize, mode: RngMode) -> u64 {
         TraceConfig::events_on(),
     );
     sim.set_rng_mode(mode);
-    sim.set_shards(shards);
     sim.set_trace_sink(TraceSink::Memory(Vec::new()));
     sim.run(2_000);
     let events = sim
@@ -90,16 +87,15 @@ fn saturated_trace_digest(scheme: Scheme, shards: usize, mode: RngMode) -> u64 {
 /// Digest of a saturated untraced run's full statistics: mesh(8,8) (the
 /// bench topology), 40% injection, 2 000 cycles, `Stats` debug-formatted
 /// (every counter plus both full latency histograms).
-fn saturated_stats_digest(scheme: Scheme, shards: usize, mode: RngMode) -> u64 {
-    saturated_stats_digest_cfg(scheme, shards, mode, true, true)
+fn saturated_stats_digest(scheme: Scheme, mode: RngMode) -> u64 {
+    saturated_stats_digest_cfg(scheme, mode, true, true)
 }
 
 /// [`saturated_stats_digest`] with the wake scheduler and fast-forward
 /// axes exposed — the keyed pin family is held across the full
-/// K × wake × fast-forward matrix.
+/// wake × fast-forward matrix.
 fn saturated_stats_digest_cfg(
     scheme: Scheme,
-    shards: usize,
     mode: RngMode,
     wake: bool,
     fast_forward: bool,
@@ -114,7 +110,6 @@ fn saturated_stats_digest_cfg(
         Scheme::DEFAULT_EPOCH,
     );
     sim.set_rng_mode(mode);
-    sim.set_shards(shards);
     sim.set_wake_scheduler(wake);
     sim.set_fast_forward(fast_forward);
     sim.run(2_000);
@@ -142,7 +137,7 @@ const PINNED_STATS: [(&str, u64); 3] = [
 fn saturated_golden_trace_is_pinned() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 1, RngMode::Stream)))
+        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, RngMode::Stream)))
         .collect();
     for (id, d) in &got {
         println!("trace {id}: {d:#018x}");
@@ -157,7 +152,7 @@ fn saturated_golden_trace_is_pinned() {
 fn saturated_stats_are_pinned() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 1, RngMode::Stream)))
+        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, RngMode::Stream)))
         .collect();
     for (id, d) in &got {
         println!("stats {id}: {d:#018x}");
@@ -165,40 +160,6 @@ fn saturated_stats_are_pinned() {
     assert_eq!(
         got, PINNED_STATS,
         "saturated stats drifted from the pinned digests"
-    );
-}
-
-/// The 4-shard kernel must reproduce the *same* pinned trace digests the
-/// serial kernel was captured with — not merely be self-consistent.
-#[test]
-fn four_shard_golden_trace_matches_serial_pins() {
-    let got: Vec<(&str, u64)> = headline()
-        .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 4, RngMode::Stream)))
-        .collect();
-    for (id, d) in &got {
-        println!("trace k4 {id}: {d:#018x}");
-    }
-    assert_eq!(
-        got, PINNED_TRACE,
-        "4-shard trace bytes drifted from the serial kernel's pinned digests"
-    );
-}
-
-/// Same pin on statistics: 4-shard saturated runs must hash to the serial
-/// kernel's pinned constants.
-#[test]
-fn four_shard_stats_match_serial_pins() {
-    let got: Vec<(&str, u64)> = headline()
-        .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 4, RngMode::Stream)))
-        .collect();
-    for (id, d) in &got {
-        println!("stats k4 {id}: {d:#018x}");
-    }
-    assert_eq!(
-        got, PINNED_STATS,
-        "4-shard stats drifted from the serial kernel's pinned digests"
     );
 }
 
@@ -222,7 +183,7 @@ const KEYED_STATS: [(&str, u64); 3] = [
 fn keyed_saturated_golden_trace_is_pinned() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 1, RngMode::Keyed)))
+        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, RngMode::Keyed)))
         .collect();
     for (id, d) in &got {
         println!("keyed trace {id}: {d:#018x}");
@@ -237,7 +198,7 @@ fn keyed_saturated_golden_trace_is_pinned() {
 fn keyed_saturated_stats_are_pinned() {
     let got: Vec<(&str, u64)> = headline()
         .into_iter()
-        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, 1, RngMode::Keyed)))
+        .map(|(id, scheme)| (id, saturated_stats_digest(scheme, RngMode::Keyed)))
         .collect();
     for (id, d) in &got {
         println!("keyed stats {id}: {d:#018x}");
@@ -248,49 +209,24 @@ fn keyed_saturated_stats_are_pinned() {
     );
 }
 
-/// Keyed draws are a pure function of (seed, cycle, site, id), so the
-/// shard planners need no census replay — and the digests must still
-/// land on the exact serial-kernel pins at every shard count.
-#[test]
-fn keyed_four_shard_golden_trace_matches_serial_pins() {
-    let got: Vec<(&str, u64)> = headline()
-        .into_iter()
-        .map(|(id, scheme)| (id, saturated_trace_digest(scheme, 4, RngMode::Keyed)))
-        .collect();
-    for (id, d) in &got {
-        println!("keyed trace k4 {id}: {d:#018x}");
-    }
-    assert_eq!(
-        got, KEYED_TRACE,
-        "keyed 4-shard trace bytes drifted from the serial kernel's pins"
-    );
-}
-
 /// The keyed stats pin must hold across the full determinism matrix:
-/// shard count K ∈ {1, 2, 4, 8} × wake scheduler on/off × fast-forward
-/// on/off. Keyed draws depend only on the key, never on visit order or
+/// wake scheduler on/off × fast-forward on/off. Keyed draws depend only on the key, never on visit order or
 /// which cycles were actually swept, so every cell hashes identically.
 /// Run on the drain scheme (the only one exercising all mechanism
 /// paths); the per-scheme serial pins above cover the other schemes.
 #[test]
-fn keyed_stats_pins_hold_across_shards_wake_and_fast_forward() {
+fn keyed_stats_pins_hold_across_wake_and_fast_forward() {
     let pinned = KEYED_STATS[2].1;
-    for shards in [1usize, 2, 4, 8] {
-        for wake in [true, false] {
-            for ff in [true, false] {
-                let d = saturated_stats_digest_cfg(
-                    Scheme::Drain(DrainVariant::Vn1Vc2),
-                    shards,
-                    RngMode::Keyed,
-                    wake,
-                    ff,
-                );
-                println!("keyed stats k{shards} wake={wake} ff={ff}: {d:#018x}");
-                assert_eq!(
-                    d, pinned,
-                    "keyed stats diverged at shards={shards} wake={wake} ff={ff}"
-                );
-            }
+    for wake in [true, false] {
+        for ff in [true, false] {
+            let d = saturated_stats_digest_cfg(
+                Scheme::Drain(DrainVariant::Vn1Vc2),
+                RngMode::Keyed,
+                wake,
+                ff,
+            );
+            println!("keyed stats wake={wake} ff={ff}: {d:#018x}");
+            assert_eq!(d, pinned, "keyed stats diverged at wake={wake} ff={ff}");
         }
     }
 }

@@ -3,8 +3,7 @@
 //!
 //! 1. the profiler is a pure observer — the same seeded point produces
 //!    identical [`drain_netsim::Stats`], the same final cycle and
-//!    byte-identical traces with profiling off and on, at every shard
-//!    count;
+//!    byte-identical traces with profiling off and on;
 //! 2. telemetry sampling coexists with idle fast-forward — stats and
 //!    final cycle are bit-identical with the gate off and on, sample
 //!    stamps always sit on window boundaries, and cumulative link-flit
@@ -29,9 +28,9 @@ fn irregular_topo() -> Topology {
         .expect("mesh(4,4) tolerates two removals")
 }
 
-/// One seeded point with the phase profiler at `period` (0 = off) on the
-/// `shards`-way kernel. Returns stats, final cycle, and trace bytes.
-fn profiled_point(scheme: Scheme, period: u64, shards: usize) -> (Stats, u64, String) {
+/// One seeded point with the phase profiler at `period` (0 = off).
+/// Returns stats, final cycle, and trace bytes.
+fn profiled_point(scheme: Scheme, period: u64) -> (Stats, u64, String) {
     let topo = irregular_topo();
     let mut sim = scheme.synthetic_sim_traced(
         &topo,
@@ -44,7 +43,6 @@ fn profiled_point(scheme: Scheme, period: u64, shards: usize) -> (Stats, u64, St
         TraceConfig::events_on(),
     );
     sim.set_profile_period(period);
-    sim.set_shards(shards);
     sim.set_trace_sink(TraceSink::Memory(Vec::new()));
     sim.run(2_000);
     let trace: String = sim
@@ -62,33 +60,31 @@ fn profiled_point(scheme: Scheme, period: u64, shards: usize) -> (Stats, u64, St
 /// Profiler differential: every headline scheme must produce identical
 /// `Stats` (every counter and full latency histograms), the same final
 /// cycle and byte-identical traces with the profiler off and sampling
-/// every 32nd cycle, on the serial and the 4-shard kernels.
+/// every 32nd cycle.
 #[test]
 fn profiler_is_bit_identical_off_and_on() {
     for scheme in Scheme::headline() {
-        for shards in [1usize, 4] {
-            let (off, cycle_off, trace_off) = profiled_point(scheme, 0, shards);
-            let (on, cycle_on, trace_on) = profiled_point(scheme, 32, shards);
-            assert_eq!(
-                off,
-                on,
-                "{} at {shards} shards: stats must not depend on the profiler",
-                scheme.label()
-            );
-            assert_eq!(
-                cycle_off,
-                cycle_on,
-                "{} at {shards} shards: final cycle must not depend on the profiler",
-                scheme.label()
-            );
-            assert_eq!(
-                trace_off,
-                trace_on,
-                "{} at {shards} shards: trace bytes must not depend on the profiler",
-                scheme.label()
-            );
-            assert!(off.ejected > 0, "{} delivered nothing", scheme.label());
-        }
+        let (off, cycle_off, trace_off) = profiled_point(scheme, 0);
+        let (on, cycle_on, trace_on) = profiled_point(scheme, 32);
+        assert_eq!(
+            off,
+            on,
+            "{}: stats must not depend on the profiler",
+            scheme.label()
+        );
+        assert_eq!(
+            cycle_off,
+            cycle_on,
+            "{}: final cycle must not depend on the profiler",
+            scheme.label()
+        );
+        assert_eq!(
+            trace_off,
+            trace_on,
+            "{}: trace bytes must not depend on the profiler",
+            scheme.label()
+        );
+        assert!(off.ejected > 0, "{} delivered nothing", scheme.label());
     }
 }
 
@@ -236,7 +232,6 @@ fn prometheus_round_trips_on_a_real_snapshot() {
         TraceConfig::default().with_telemetry(64),
     );
     sim.set_profile_period(32);
-    sim.set_shards(2);
     sim.run(3_000);
 
     let snap = sim.metrics_snapshot();

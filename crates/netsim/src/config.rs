@@ -67,12 +67,11 @@ pub struct SimConfig {
     /// [`crate::rng`]): `Stream` — the serial per-visit ChaCha8 draw
     /// stream every paper figure and pre-existing golden pin was
     /// recorded under — or `Keyed`, where each draw is the pure function
-    /// `mix(seed, cycle, site, id)`, so parked heads draw nothing and
-    /// shard planners never replay the global census. The two modes
-    /// produce different (equally valid) random sequences and therefore
-    /// separate golden-pin families; within a mode, results are
-    /// bit-identical across shard counts, wake scheduling, fast-forward
-    /// and profiler cadence. Also `DRAIN_RNG=stream|keyed` in the bench
+    /// `mix(seed, cycle, site, id)`, so parked heads draw nothing. The
+    /// two modes produce different (equally valid) random sequences and
+    /// therefore separate golden-pin families; within a mode, results
+    /// are bit-identical across wake scheduling, fast-forward and
+    /// profiler cadence. Also `DRAIN_RNG=stream|keyed` in the bench
     /// harness.
     pub rng_mode: RngMode,
     /// Idle-cycle fast-forward: when nothing can happen before cycle `T`
@@ -87,20 +86,6 @@ pub struct SimConfig {
     /// last elided boundary (the network is frozen across the jump, so
     /// the sample is exact and `Stats` stay bit-identical either way).
     pub fast_forward: bool,
-    /// Number of router shards the allocation engine is split into (1 =
-    /// the serial kernel). With `shards > 1` each shard is owned by a
-    /// worker thread that plans its routers' allocation phase in parallel;
-    /// plans are merged at the cycle barrier in canonical order, so
-    /// results — `Stats`, traces, final cycle — are bit-identical at
-    /// every shard count (see [`crate::shard`]). At most 8 shards (the
-    /// shard-pair nonempty index is one 64-bit word).
-    pub shards: usize,
-    /// Occupancy threshold below which a sharded kernel falls back to the
-    /// serial allocator for the cycle (parallelism cannot pay for its
-    /// barrier under a handful of occupied VCs). Purely a speed knob: both
-    /// paths are bit-identical, so the gate is unobservable in results.
-    /// Tests pin it to 0 to force the sharded path.
-    pub shard_min_active: usize,
     /// Wake-driven Phase A scheduling: heads whose routing pass produced
     /// no feasible move are *parked* (a timed wake deadline plus
     /// subscriptions on the output links their candidates named) and
@@ -144,8 +129,6 @@ impl Default for SimConfig {
             seed: 0xD4A1,
             rng_mode: RngMode::Stream,
             fast_forward: true,
-            shards: 1,
-            shard_min_active: 64,
             wake_scheduler: true,
             checks: CheckConfig::default(),
             trace: TraceConfig::default(),
@@ -229,10 +212,6 @@ impl SimConfig {
         assert!(self.num_classes <= 8, "at most 8 message classes supported");
         assert!(self.data_packet_flits > 0 && self.ctrl_packet_flits > 0);
         assert!(self.ej_queue_capacity > 0, "ejection queues need capacity");
-        assert!(
-            (1..=8).contains(&self.shards),
-            "shards must be in 1..=8 (the shard-pair index is one u64)"
-        );
     }
 }
 
@@ -265,26 +244,6 @@ mod tests {
         assert_eq!(c.vn_of_class(MessageClass::RESPONSE), 0);
         let c3 = SimConfig::default();
         assert_eq!(c3.vn_of_class(MessageClass::RESPONSE), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "shards")]
-    fn too_many_shards_rejected() {
-        SimConfig {
-            shards: 9,
-            ..SimConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "shards")]
-    fn zero_shards_rejected() {
-        SimConfig {
-            shards: 0,
-            ..SimConfig::default()
-        }
-        .validate();
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! Before this module the simulator's numbers were scattered:
 //! [`crate::Stats`] counts packets and latency, [`crate::WakeCounters`]
 //! counts scheduler events, fast-forward accounting lives on
-//! [`crate::Sim`], shard fabric traffic on the shard runtime, check-tier
-//! sweeps nowhere at all. [`MetricsSnapshot`] unifies every family under
+//! [`crate::Sim`], check-tier sweeps nowhere at all. [`MetricsSnapshot`] unifies every family under
 //! one stable `drain_` namespace as named counters / gauges / histograms
 //! that can be merged across sweep workers and exported as Prometheus
 //! text exposition or flat JSONL (the same hand-written, dependency-free
@@ -18,7 +17,7 @@
 //!   is O(families) at scrape time and free the rest of the time.
 //! * **The phase profiler is push-based but sampled.** When
 //!   [`MetricsConfig::profile_period`] is non-zero, every `period`-th
-//!   cycle is wall-clock-attributed per phase ([`Phase`]) and per shard.
+//!   cycle is wall-clock-attributed per phase ([`Phase`]).
 //!   Disabled (`period == 0`, the default) it costs one predictable
 //!   branch per call site, the same `active()` discipline the telemetry
 //!   sampler uses.
@@ -29,9 +28,8 @@
 //! [`std::time::Instant`] and writes only its own accumulators, and a
 //! snapshot borrows the core immutably. Enabling metrics or the profiler
 //! therefore cannot shift an RNG draw, a visit order, or a `Stats`
-//! counter — golden pins, golden traces and the shard differentials hold
-//! byte-identically with profiling on (the differential tests in the
-//! bench crate prove it at K ∈ {1, 4}).
+//! counter — golden pins and golden traces hold byte-identically with
+//! profiling on (the differential tests in the bench crate prove it).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -737,7 +735,7 @@ fn json_str(s: &str) -> String {
 // ---------------------------------------------------------------------
 
 /// Number of attributed phases (see [`Phase`]).
-pub const NUM_PHASES: usize = 8;
+pub const NUM_PHASES: usize = 7;
 
 /// One phase of the per-cycle engine, for wall-time attribution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -747,20 +745,16 @@ pub enum Phase {
     /// Mechanism control (drain/spin/freeze decisions) plus the
     /// structural deadlock detector and watchdog instrumentation.
     Mechanism = 1,
-    /// Phase A: routing, parking, and wake bookkeeping (serial sweep or
-    /// the sharded planners including their barrier).
+    /// Phase A: routing, parking, and wake bookkeeping.
     PhaseA = 2,
-    /// Phase B: ejection and link grants, commits (serial or the
-    /// sharded barrier merge).
+    /// Phase B: ejection and link grants, commits.
     PhaseB = 3,
-    /// Cross-shard fabric drain at the cycle barrier.
-    Fabric = 4,
     /// Forced permutation cycles (drains, spins).
-    Forced = 5,
+    Forced = 4,
     /// Runtime invariant checks.
-    Checks = 6,
+    Checks = 5,
     /// Telemetry sampling.
-    Telemetry = 7,
+    Telemetry = 6,
 }
 
 impl Phase {
@@ -770,7 +764,6 @@ impl Phase {
         Phase::Mechanism,
         Phase::PhaseA,
         Phase::PhaseB,
-        Phase::Fabric,
         Phase::Forced,
         Phase::Checks,
         Phase::Telemetry,
@@ -784,7 +777,6 @@ impl Phase {
             Phase::Mechanism => "mechanism",
             Phase::PhaseA => "phase_a",
             Phase::PhaseB => "phase_b",
-            Phase::Fabric => "fabric",
             Phase::Forced => "forced",
             Phase::Checks => "checks",
             Phase::Telemetry => "telemetry",
@@ -792,7 +784,7 @@ impl Phase {
     }
 }
 
-/// Scoped wall-time attribution per cycle phase and per shard, sampled
+/// Scoped wall-time attribution per cycle phase, sampled
 /// every [`MetricsConfig::profile_period`] cycles.
 ///
 /// The driver brackets each sampled cycle with
@@ -800,8 +792,7 @@ impl Phase {
 /// drops a [`PhaseProfiler::mark`] at each phase boundary; `mark`
 /// attributes the wall time elapsed since the previous mark to the named
 /// phase. Unsampled cycles (and the disabled profiler) cost one bool
-/// check per call site. Shard planners report their own plan wall time
-/// through [`PhaseProfiler::note_shard`].
+/// check per call site.
 ///
 /// Determinism: the profiler reads the wall clock and writes only its
 /// own accumulators — simulation state, RNG draws and `Stats` are
@@ -813,7 +804,6 @@ pub struct PhaseProfiler {
     mark_at: Instant,
     cycle_start: Instant,
     phase_nanos: [u64; NUM_PHASES],
-    shard_nanos: [u64; 8],
     cycle_nanos: u64,
     sampled: u64,
 }
@@ -828,7 +818,6 @@ impl PhaseProfiler {
             mark_at: now,
             cycle_start: now,
             phase_nanos: [0; NUM_PHASES],
-            shard_nanos: [0; 8],
             cycle_nanos: 0,
             sampled: 0,
         }
@@ -879,15 +868,6 @@ impl PhaseProfiler {
         self.mark_at = now;
     }
 
-    /// Credits `nanos` of planning wall time to `shard` (reported by the
-    /// sharded kernel's workers for sampled cycles).
-    #[inline]
-    pub fn note_shard(&mut self, shard: usize, nanos: u64) {
-        if self.active {
-            self.shard_nanos[shard.min(7)] += nanos;
-        }
-    }
-
     /// Closes a sampled cycle: accounts total cycle wall time.
     #[inline]
     pub fn end_cycle(&mut self) {
@@ -914,11 +894,6 @@ impl PhaseProfiler {
         self.phase_nanos[phase as usize]
     }
 
-    /// Accumulated planning wall nanoseconds credited to `shard`.
-    pub fn shard_nanos(&self, shard: usize) -> u64 {
-        self.shard_nanos.get(shard).copied().unwrap_or(0)
-    }
-
     /// Sampled-cycle wall time not attributed to any phase (cycle
     /// bookkeeping, the marks themselves).
     pub fn other_nanos(&self) -> u64 {
@@ -943,9 +918,8 @@ impl PhaseProfiler {
     }
 
     /// Registers the profiler's accumulators into a snapshot under the
-    /// `drain_profile_` namespace (`shards` bounds the per-shard series;
-    /// pass 1 to omit it for serial runs).
-    pub fn collect(&self, out: &mut MetricsSnapshot, shards: usize) {
+    /// `drain_profile_` namespace.
+    pub fn collect(&self, out: &mut MetricsSnapshot) {
         if !self.enabled() {
             return;
         }
@@ -973,17 +947,6 @@ impl PhaseProfiler {
             &[("phase", "other")],
             self.other_nanos(),
         );
-        if shards > 1 {
-            for s in 0..shards.min(8) {
-                let label = s.to_string();
-                out.counter_labeled(
-                    "drain_profile_shard_plan_nanos_total",
-                    "Planning wall nanoseconds per shard over sampled cycles",
-                    &[("shard", label.as_str())],
-                    self.shard_nanos[s],
-                );
-            }
-        }
     }
 }
 
@@ -1079,7 +1042,7 @@ mod tests {
     fn prometheus_encoding_shape() {
         let mut s = MetricsSnapshot::new();
         s.counter("drain_x_total", "packets seen", 42);
-        s.gauge_labeled("drain_g", "a gauge", &[("shard", "0")], 0.5);
+        s.gauge_labeled("drain_g", "a gauge", &[("router", "0")], 0.5);
         let mut h = HistogramSnapshot::default();
         h.record(3);
         h.record(500);
@@ -1088,7 +1051,7 @@ mod tests {
         assert!(text.contains("# HELP drain_x_total packets seen"));
         assert!(text.contains("# TYPE drain_x_total counter"));
         assert!(text.contains("drain_x_total 42"));
-        assert!(text.contains("drain_g{shard=\"0\"} 0.5"));
+        assert!(text.contains("drain_g{router=\"0\"} 0.5"));
         assert!(text.contains("drain_h_cycles_bucket{le=\"3\"} 1"));
         assert!(text.contains("drain_h_cycles_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("drain_h_cycles_sum 503"));
@@ -1142,7 +1105,7 @@ mod tests {
         assert_eq!(p.sampled_cycles(), 0);
         assert_eq!(p.cycle_nanos(), 0);
         let mut out = MetricsSnapshot::new();
-        p.collect(&mut out, 4);
+        p.collect(&mut out);
         assert!(out.is_empty(), "disabled profiler registers nothing");
     }
 
@@ -1163,11 +1126,10 @@ mod tests {
         let total: f64 = p.shares().iter().map(|(_, f)| f).sum();
         assert!((total - 1.0).abs() < 1e-9, "shares sum to 1.0, got {total}");
         let mut out = MetricsSnapshot::new();
-        p.collect(&mut out, 2);
+        p.collect(&mut out);
         assert_eq!(
             out.counter_value("drain_profile_sampled_cycles_total"),
             Some(2)
         );
-        assert!(out.family("drain_profile_shard_plan_nanos_total").is_some());
     }
 }

@@ -5,9 +5,8 @@
 //! once per visited ready non-ejecting VC head in arena order — the
 //! *draw-stream contract* (DESIGN.md §7). That contract makes results
 //! deterministic but couples every draw to the global visit schedule:
-//! parked heads must still consume a draw (capping the wake scheduler's
-//! win), and shard planners must replay the entire global census just to
-//! stay at the right stream position.
+//! parked heads must still consume a draw, which caps the wake
+//! scheduler's win.
 //!
 //! [`RngMode::Keyed`] replaces the stream with a pure function: each
 //! draw is [`mix`]`(seed, cycle, site, id)`, where `site` names the draw
@@ -16,11 +15,8 @@
 //! injection). Draws are then order- and position-independent:
 //!
 //! * parked heads draw **nothing** — skipping a head skips its draw,
-//! * shard planners compute draws **only for owned slots** — no RNG
-//!   clone, no census replay, no stream-equality asserts,
-//! * shard-count invariance holds *by construction*: the sample a head
-//!   receives depends only on its identity and the cycle, never on who
-//!   computed it or in what order.
+//! * the sample a head receives depends only on its identity and the
+//!   cycle, never on the order in which heads are visited.
 //!
 //! `Stream` stays the default: every paper figure and every existing
 //! golden pin was recorded under the serial stream, and keyed mode —
@@ -92,8 +88,7 @@ pub enum RngMode {
     #[default]
     Stream,
     /// Determinism contract v2: each draw is the pure function
-    /// [`mix`]`(seed, cycle, site, id)`. Parked heads draw nothing and
-    /// shard planners draw only for owned slots; shard-count, wake
+    /// [`mix`]`(seed, cycle, site, id)`. Parked heads draw nothing; wake
     /// on/off and fast-forward invariance hold by construction. Its own
     /// golden-pin family (digests differ from `Stream` — a different,
     /// equally valid random sequence).

@@ -10,7 +10,6 @@ use crate::check::{self, Violation};
 use crate::deadlock;
 use crate::mechanism::{ControlAction, Mechanism};
 use crate::metrics::{MetricsSnapshot, Phase};
-use crate::shard::ShardRuntime;
 use crate::state::SimCore;
 use crate::stats::Stats;
 use crate::trace::{self, TraceEvent, TraceSink};
@@ -57,10 +56,6 @@ pub struct Sim {
     check_sweeps: u64,
     /// Cycles on which the deep invariant tier additionally ran.
     check_deep_sweeps: u64,
-    /// Sharded-kernel runtime (worker pool + ownership tables), built
-    /// lazily on the first sharded allocation cycle so serial runs pay
-    /// nothing (see [`crate::shard`]).
-    shard_rt: Option<ShardRuntime>,
 }
 
 // Compile-time audit of the `Send` guarantee documented above: building a
@@ -96,24 +91,7 @@ impl Sim {
             ff_jumps: 0,
             check_sweeps: 0,
             check_deep_sweeps: 0,
-            shard_rt: None,
         }
-    }
-
-    /// Reconfigures the shard count of an assembled simulation (see
-    /// [`SimConfig::shards`]) and pins
-    /// [`SimConfig::shard_min_active`] to 0 so the sharded path runs at
-    /// any occupancy. Results are bit-identical at every shard count —
-    /// the differential suite in the bench crate holds this to the byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is 0 or exceeds [`crate::shard::MAX_SHARDS`].
-    pub fn set_shards(&mut self, shards: usize) {
-        self.core.set_shards(shards);
-        // Drop any existing runtime: the pool and ownership tables are
-        // per shard count.
-        self.shard_rt = None;
     }
 
     /// Makes [`Sim::run`] return early once a deadlock is observed.
@@ -143,8 +121,8 @@ impl Sim {
     /// keyed counter-based mixer. Meant for pre-run configuration — the
     /// two modes produce different (equally valid) random sequences and
     /// therefore separate golden-pin families; *within* a mode, results
-    /// are bit-identical across shard counts, wake scheduling,
-    /// fast-forward and profiler cadence (the keyed differential suite
+    /// are bit-identical across wake scheduling, fast-forward and
+    /// profiler cadence (the keyed differential suite
     /// proves it).
     pub fn set_rng_mode(&mut self, mode: crate::rng::RngMode) {
         self.core.set_rng_mode(mode);
@@ -240,7 +218,7 @@ impl Sim {
         let action = self.mechanism.control(&mut self.core);
         self.core.prof_mark(Phase::Mechanism);
         match action {
-            ControlAction::Normal => self.allocate(),
+            ControlAction::Normal => self.core.allocate_and_move(),
             ControlAction::Freeze => {}
             ControlAction::Forced(moves, kind) => {
                 if self.core.config().checks.forced_moves {
@@ -275,25 +253,6 @@ impl Sim {
         }
         self.core.advance_cycle();
         self.core.prof_end_cycle();
-    }
-
-    /// Dispatches a `Normal` cycle's allocation to the serial or the
-    /// sharded kernel. The hybrid gate is a pure speed knob — both paths
-    /// are bit-identical — so below `shard_min_active` occupied VCs the
-    /// serial allocator runs (parallel planning cannot amortize its
-    /// barrier over a handful of packets).
-    fn allocate(&mut self) {
-        let cfg = self.core.config();
-        let sharded =
-            cfg.shards > 1 && self.core.packets_in_network() >= cfg.shard_min_active;
-        if sharded {
-            let rt = self
-                .shard_rt
-                .get_or_insert_with(|| ShardRuntime::new(&self.core));
-            rt.allocate(&mut self.core);
-        } else {
-            self.core.allocate_and_move();
-        }
     }
 
     fn fail(&mut self, v: Violation) {
@@ -397,7 +356,7 @@ impl Sim {
     /// [`MetricsSnapshot`] under the stable `drain_` namespace: `Stats`
     /// (packets, latency histograms, mechanism events), wake-scheduler
     /// counters, per-site RNG draw volume, fast-forward accounting,
-    /// shard fabric traffic, check-tier sweeps, telemetry/trace volume,
+    /// check-tier sweeps, telemetry/trace volume,
     /// occupancy gauges, and — when enabled — the phase profiler's
     /// attribution.
     ///
@@ -508,18 +467,6 @@ impl Sim {
             "Fast-forward jumps taken",
             self.ff_jumps,
         );
-        if let Some(rt) = &self.shard_rt {
-            m.counter(
-                "drain_shard_fabric_flits_total",
-                "Flits that crossed a shard boundary through the fabric",
-                rt.fabric_flits(),
-            );
-            m.counter(
-                "drain_sharded_cycles_total",
-                "Cycles allocated by the sharded kernel",
-                rt.sharded_cycles(),
-            );
-        }
         m.counter_labeled(
             "drain_check_sweeps_total",
             "Invariant check sweeps by tier",
@@ -574,9 +521,7 @@ impl Sim {
             "Packets parked in ejection queues",
             self.core.ejection_backlog() as f64,
         );
-        self.core
-            .profiler()
-            .collect(&mut m, self.core.config().shards);
+        self.core.profiler().collect(&mut m);
         m
     }
 

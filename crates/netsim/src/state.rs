@@ -90,11 +90,9 @@ pub struct Delivered {
     pub id: PacketId,
 }
 
-/// Where a granted link request moves its packet *from*. `pub(crate)` so
-/// shard workers (see [`crate::shard`]) can stage requests identical to
-/// the serial sweep's.
+/// Where a granted link request moves its packet *from*.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum MoveSource {
+enum MoveSource {
     /// A VC buffer, by link-major arena index.
     Vc(usize),
     /// The head of a per-(node, class) injection queue.
@@ -103,12 +101,12 @@ pub(crate) enum MoveSource {
 
 /// One pending request for an output link.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct LinkRequest {
-    pub(crate) source: MoveSource,
-    pub(crate) pid: PacketId,
-    pub(crate) target: TargetVc,
+struct LinkRequest {
+    source: MoveSource,
+    pid: PacketId,
+    target: TargetVc,
     /// How long the requester has been waiting (age-based arbitration).
-    pub(crate) blocked_for: u64,
+    blocked_for: u64,
 }
 
 /// One wake-list entry: slot `slot` (link-major VC index) subscribed to
@@ -139,20 +137,20 @@ const GATE_MIN_SKIPS_PER_PARK: u64 = 2;
 const GATE_MIN_PARKS: u64 = 64;
 
 /// A parking decision for one blocked head, computed against pre-commit
-/// state by [`SimCore::phase_a_route_or_park`] (`&self`, shared with the
-/// shard planners) and applied by [`SimCore::apply_park`]. `subs` is a
-/// bitmask over the head router's out-link positions to subscribe to.
+/// state by [`SimCore::phase_a_route_or_park`] and applied by
+/// [`SimCore::apply_park`]. `subs` is a bitmask over the head router's
+/// out-link positions to subscribe to.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ParkNote {
-    pub(crate) idx: u32,
-    pub(crate) wake_at: u64,
-    pub(crate) subs: u32,
+struct ParkNote {
+    idx: u32,
+    wake_at: u64,
+    subs: u32,
 }
 
 /// Outcome of one fused Phase A routing + parking decision
 /// ([`SimCore::phase_a_route_or_park`]).
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum PhaseAOutcome {
+enum PhaseAOutcome {
     /// Request this output link (target-VC kind, `blocked_for` age).
     Route(LinkId, TargetVc, u64),
     /// No feasible move; park the head under this note.
@@ -163,18 +161,6 @@ pub(crate) enum PhaseAOutcome {
     Stall,
 }
 
-/// A granted move whose target-VC occupation was deferred because the
-/// target slot belongs to another shard: the flit crosses the shard
-/// boundary through the [`crate::shard::ShardFabric`] queues and is
-/// applied by [`SimCore::apply_remote_occupy`] at the cycle barrier.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PendingOccupy {
-    /// Link-major arena index of the resolved target VC.
-    pub(crate) tidx: u32,
-    /// The moving packet.
-    pub(crate) pid: PacketId,
-}
-
 /// The simulator state plus allocation engine.
 pub struct SimCore {
     topo: Arc<Topology>,
@@ -183,19 +169,18 @@ pub struct SimCore {
     dmap: DistanceMap,
     /// VC arena, link-major: index `link * total_vcs + vn * vcs_per_vn +
     /// vc` into each of the struct-of-arrays buffers below. Occupant id,
-    /// or [`EMPTY`]. (`pub(crate)` fields below are read-shared with the
-    /// shard workers of [`crate::shard`] during the planning phase.)
-    pub(crate) vc_occ: Vec<u32>,
+    /// or [`EMPTY`].
+    vc_occ: Vec<u32>,
     /// Cycle from which the occupant may be allocated onward.
-    pub(crate) vc_ready_at: Vec<u64>,
+    vc_ready_at: Vec<u64>,
     /// Cycle from which an empty buffer may accept a new packet.
     vc_free_at: Vec<u64>,
     /// Cycle the current occupant arrived.
     vc_entered_at: Vec<u64>,
     /// Hot mirror of the occupant's destination (valid while occupied).
-    pub(crate) vc_dest: Vec<u16>,
+    vc_dest: Vec<u16>,
     /// Hot mirror of the occupant's message class (valid while occupied).
-    pub(crate) vc_class: Vec<u8>,
+    vc_class: Vec<u8>,
     /// Hot mirror of the occupant's length in flits (valid while occupied).
     vc_len: Vec<u32>,
     /// Per unidirectional link: number of occupied VCs at its input port
@@ -203,11 +188,11 @@ pub struct SimCore {
     link_occ: Vec<u32>,
     /// Occupancy bitmap over link-major VC indices: bit `i % 64` of word
     /// `i / 64` is set iff index `i` is occupied.
-    pub(crate) occ_bits: Vec<u64>,
+    occ_bits: Vec<u64>,
     /// Per unidirectional link: busy (serializing) until this cycle.
     link_busy: Vec<u64>,
     /// Per (node, class) injection queues.
-    pub(crate) inj: Vec<VecDeque<PacketId>>,
+    inj: Vec<VecDeque<PacketId>>,
     /// Per (node, class) ejection queues.
     ej: Vec<VecDeque<PacketId>>,
     /// Live packets.
@@ -223,22 +208,20 @@ pub struct SimCore {
     /// `idx` inside `active`, or `u32::MAX` when the VC is empty.
     active_pos: Vec<u32>,
     /// Cached `config.total_vcs()` (the link-major stride).
-    pub(crate) stride: usize,
+    stride: usize,
     /// Number of non-empty injection queues (skips the Phase A injection
     /// sweep and gates fast-forward).
-    pub(crate) nonempty_inj: usize,
+    nonempty_inj: usize,
     /// Hot mirror of each injection queue head's destination (valid while
     /// the queue is non-empty) — the Phase A injection sweep reads this
     /// instead of dereferencing the packet slab.
-    pub(crate) inj_head_dest: Vec<u16>,
+    inj_head_dest: Vec<u16>,
     /// Packets parked in ejection queues (counter form of
     /// [`SimCore::ejection_backlog`]).
     ej_backlog: usize,
     rng: ChaCha8Rng,
     /// Per-[`DrawSite`] tie-break samples produced so far (either mode;
-    /// surfaced as `drain_rng_draws_total{site,mode}`). In stream mode
-    /// under the sharded kernel this counts every census replay draw —
-    /// the honest O(shards × heads) cost keyed mode removes.
+    /// surfaced as `drain_rng_draws_total{site,mode}`).
     rng_draws: [u64; NUM_DRAW_SITES],
     /// Bitmap over (node, class) ejection-queue indices with at least one
     /// parked packet (lets consumers pop deliveries without sweeping
@@ -246,14 +229,9 @@ pub struct SimCore {
     ej_bits: Vec<u64>,
     /// Decode table: owning link of each link-major VC index (avoids a
     /// runtime division in the Phase A sweep).
-    pub(crate) idx_link: Vec<u32>,
+    idx_link: Vec<u32>,
     /// Decode table: VC-within-VN of each link-major VC index.
-    pub(crate) idx_vc: Vec<u8>,
-    /// Decode table: router at which each link-major VC index sits (the
-    /// dst node of its link). Built for the shard planners' census sweep;
-    /// the serial hot path keeps decoding through `idx_link` + the
-    /// topology.
-    pub(crate) idx_here: Vec<u16>,
+    idx_vc: Vec<u8>,
     /// Scratch buffers reused across cycles.
     cand_buf: Vec<Candidate>,
     req_buf: Vec<Vec<LinkRequest>>,
@@ -266,8 +244,7 @@ pub struct SimCore {
     /// visit); `> now` = parked (Phase A skips routing; in stream mode the
     /// head still consumes its serial RNG draw, in keyed mode it draws
     /// nothing); `0 < v <= now` = woken, routes on the next visit.
-    /// `pub(crate)` read-only for the shard planners' census.
-    pub(crate) vc_wake_at: Vec<u64>,
+    vc_wake_at: Vec<u64>,
     /// Wake scheduler: per-output-link subscriber lists, fired (drained)
     /// by [`SimCore::vacate_slot`] on that link's input buffers.
     wake_subs: Vec<Vec<WakeSub>>,
@@ -360,9 +337,6 @@ impl SimCore {
             idx_vc: (0..slots)
                 .map(|i| ((i % total_vcs) % config.vcs_per_vn) as u8)
                 .collect(),
-            idx_here: (0..slots)
-                .map(|i| topo.link(LinkId((i / total_vcs) as u32)).dst.0)
-                .collect(),
             cand_buf: Vec::new(),
             req_buf: (0..m).map(|_| Vec::new()).collect(),
             req_bits: vec![0; m.div_ceil(64)],
@@ -408,20 +382,6 @@ impl SimCore {
     /// [`SimConfig::fast_forward`]).
     pub fn set_fast_forward(&mut self, enabled: bool) {
         self.config.fast_forward = enabled;
-    }
-
-    /// Reconfigures the shard count mid-assembly and forces the sharded
-    /// path at any occupancy (`shard_min_active = 0`) so differential
-    /// tests exercise it even on lightly loaded networks. Results are
-    /// bit-identical at every shard count; tests exist to prove it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is 0 or exceeds [`crate::shard::MAX_SHARDS`].
-    pub(crate) fn set_shards(&mut self, shards: usize) {
-        self.config.shards = shards;
-        self.config.shard_min_active = 0;
-        self.config.validate();
     }
 
     /// The routing function's name.
@@ -498,14 +458,6 @@ impl SimCore {
         self.prof = PhaseProfiler::new(period);
     }
 
-    /// Whether the current cycle is being phase-profiled (shard planners
-    /// read this through the shared `&SimCore` to decide whether to time
-    /// themselves).
-    #[inline(always)]
-    pub(crate) fn prof_active(&self) -> bool {
-        self.prof.active()
-    }
-
     /// Opens the profiler's view of `cycle` (no-op unless profiling).
     #[inline]
     pub(crate) fn prof_begin_cycle(&mut self, cycle: u64) {
@@ -525,22 +477,8 @@ impl SimCore {
         self.prof.end_cycle();
     }
 
-    /// Credits `nanos` of planning wall time to `shard` (reported by the
-    /// sharded kernel's merge for sampled cycles).
     #[inline]
-    pub(crate) fn prof_note_shard(&mut self, shard: usize, nanos: u64) {
-        self.prof.note_shard(shard, nanos);
-    }
-
-    /// Credits `n` credit-stall observations to `router` (the shard merge
-    /// applies the workers' Phase A stall notes through this; counters
-    /// are additive so apply order is immaterial).
-    pub(crate) fn note_credit_stalls(&mut self, router: usize, n: u64) {
-        self.telem.note_credit_stalls(router, n);
-    }
-
-    #[inline]
-    pub(crate) fn vc_index(&self, r: VcRef) -> usize {
+    fn vc_index(&self, r: VcRef) -> usize {
         r.link.index() * self.stride + r.vn as usize * self.config.vcs_per_vn + r.vc as usize
     }
 
@@ -742,8 +680,7 @@ impl SimCore {
     /// no subscriber can use the link any earlier. Must run before the
     /// per-cycle validators (`validate_wake_parking` assumes no fire is
     /// in flight). Sorting makes the fire order — and thus the exact
-    /// internal wake state — independent of commit order, which is what
-    /// keeps the serial and sharded kernels bit-identical here.
+    /// internal wake state — independent of commit order.
     pub(crate) fn flush_wakes(&mut self) {
         if self.pending_fires.is_empty() {
             return;
@@ -827,30 +764,8 @@ impl SimCore {
     }
 
     #[inline]
-    pub(crate) fn qidx(&self, node: NodeId, class: MessageClass) -> usize {
+    fn qidx(&self, node: NodeId, class: MessageClass) -> usize {
         node.index() * self.config.num_classes + class.index()
-    }
-
-    /// Snapshot of the RNG at its current stream position. In stream
-    /// mode, shard planners clone the cycle-start RNG, replay the full
-    /// global draw schedule (consuming every draw, using only their own
-    /// shard's), and the merge asserts all clones ended at the same
-    /// position (see [`crate::shard`]). Keyed mode never calls this —
-    /// there is no stream position to keep.
-    pub(crate) fn rng_clone(&self) -> ChaCha8Rng {
-        debug_assert_eq!(
-            self.config.rng_mode,
-            RngMode::Stream,
-            "keyed mode must not clone the serial stream"
-        );
-        self.rng.clone()
-    }
-
-    /// Replaces the RNG with `rng` — the stream-mode merge step adopts
-    /// shard 0's advanced clone so the stream position matches the
-    /// serial kernel's.
-    pub(crate) fn set_rng(&mut self, rng: ChaCha8Rng) {
-        self.rng = rng;
     }
 
     /// One tie-break sample for `site`, identity `id` (see
@@ -859,7 +774,7 @@ impl SimCore {
     /// ignored by the stream — order of calls is its key — and the
     /// stream is untouched by keyed mode.
     #[inline]
-    pub(crate) fn draw_sample(&mut self, site: DrawSite, id: u64) -> u64 {
+    fn draw_sample(&mut self, site: DrawSite, id: u64) -> u64 {
         self.rng_draws[site.index()] += 1;
         match self.config.rng_mode {
             RngMode::Stream => self.rng.gen::<u64>(),
@@ -868,18 +783,9 @@ impl SimCore {
     }
 
     /// Per-[`DrawSite`] tie-break samples produced so far, in
-    /// [`DrawSite::ALL`] order (either mode; the sharded stream-mode
-    /// kernel counts every census replay draw).
+    /// [`DrawSite::ALL`] order (either mode).
     pub fn rng_draw_counts(&self) -> [u64; NUM_DRAW_SITES] {
         self.rng_draws
-    }
-
-    /// Credits `draws` per-site samples computed outside the core (the
-    /// shard planners work against a frozen `&SimCore`).
-    pub(crate) fn note_rng_draws(&mut self, draws: [u64; NUM_DRAW_SITES]) {
-        for (acc, d) in self.rng_draws.iter_mut().zip(draws) {
-            *acc += d;
-        }
     }
 
     /// A tie-break sample for a deadlock-freedom mechanism's stochastic
@@ -1150,11 +1056,11 @@ impl SimCore {
     }
 
     /// Park-profitability gate boundary (see [`GATE_WINDOW`]). Runs on
-    /// the core in both the serial and the sharded drivers, on committed
-    /// counters only, so the gate trajectory is identical everywhere the
-    /// stepped cycles are. Idle fast-forward may skip boundaries — the
-    /// `>=` catch-up in [`SimCore::advance_cycle`] re-evaluates on the
-    /// next stepped cycle; an idle window has no parks to judge anyway.
+    /// committed counters only, so the gate trajectory is identical
+    /// everywhere the stepped cycles are. Idle fast-forward may skip
+    /// boundaries — the `>=` catch-up in [`SimCore::advance_cycle`]
+    /// re-evaluates on the next stepped cycle; an idle window has no
+    /// parks to judge anyway.
     #[cold]
     fn gate_tick(&mut self) {
         let w = self.cycle / GATE_WINDOW;
@@ -1193,12 +1099,6 @@ impl SimCore {
     ///
     /// An empty network returns `Some(u64::MAX)`; mechanism and endpoint
     /// horizons bound the actual jump (see [`crate::sim::Sim::run`]).
-    ///
-    /// Sharding note: because every shard's plan is merged into this one
-    /// global state at the cycle barrier before the driver asks, the
-    /// minimum below already *is* the minimum idle horizon across all
-    /// shards — no per-shard computation is needed, and fast-forward
-    /// composes with the sharded kernel unchanged.
     pub(crate) fn net_idle_until(&self) -> Option<u64> {
         if !self.config.fast_forward
             || self.tracer.enabled()
@@ -1480,10 +1380,9 @@ impl SimCore {
     /// it requests, with what target-VC kind and age — or `None` when
     /// every feasible next hop lacks buffer or link credit this cycle.
     ///
-    /// Takes `&self` so both the serial sweep and the shard planners (see
-    /// [`crate::shard`]) make *the same call*: sharded decisions cannot
-    /// drift from serial ones.
-    pub(crate) fn phase_a_route(
+    /// Takes `&self`: the deep sweep's missed-wake check re-decides parked
+    /// heads through it without touching state.
+    fn phase_a_route(
         &self,
         idx: usize,
         link: LinkId,
@@ -1527,9 +1426,7 @@ impl SimCore {
     }
 
     /// Pure Phase A routing decision for the head of the `(node, class)`
-    /// injection queue, given its tie-break `sample`. Shared between the
-    /// serial sweep and the shard planners, like
-    /// [`SimCore::phase_a_route`].
+    /// injection queue, given its tie-break `sample`.
     ///
     /// Source-queue waiting is ordinary queueing, not deadlock pressure:
     /// a waiting injection holds no network resource, so it neither
@@ -1537,7 +1434,7 @@ impl SimCore {
     /// a non-escape buffer). The head's destination comes from the hot
     /// mirror, not the slab: under backpressure every queue is non-empty
     /// and the slab spans megabytes.
-    pub(crate) fn injection_route(
+    fn injection_route(
         &self,
         node: NodeId,
         class: MessageClass,
@@ -1640,11 +1537,9 @@ impl SimCore {
     /// shows up as a missed-wake violation in the deep sweeps and
     /// proptests, not as silent divergence.
     ///
-    /// Takes `&self` against pre-commit state and is shared with the
-    /// shard planners (like [`SimCore::phase_a_route`]); the merge must
-    /// apply all park notes before any Phase B commit, mirroring the
-    /// serial Phase A → Phase B order.
-    pub(crate) fn phase_a_route_or_park(
+    /// Takes `&self` against pre-commit state; the resulting park note is
+    /// applied before any Phase B commit.
+    fn phase_a_route_or_park(
         &self,
         idx: usize,
         link: LinkId,
@@ -1782,7 +1677,7 @@ impl SimCore {
     /// `sub_mask` invariant makes the dedup exact, so entry counts stay
     /// bounded by the router degree no matter how often the slot
     /// re-parks).
-    pub(crate) fn apply_park(&mut self, note: ParkNote) {
+    fn apply_park(&mut self, note: ParkNote) {
         let idx = note.idx as usize;
         if self.vc_wake_at[idx] != 0 {
             // The head had parked before and this visit's wake failed to
@@ -1793,7 +1688,8 @@ impl SimCore {
         let mut fresh = note.subs & !self.sub_mask[idx];
         self.sub_mask[idx] |= note.subs;
         if fresh != 0 {
-            let out_links = self.topo.out_links(NodeId(self.idx_here[idx]));
+            let here = self.topo.link(LinkId(self.idx_link[idx])).dst;
+            let out_links = self.topo.out_links(here);
             while fresh != 0 {
                 let j = fresh.trailing_zeros() as u8;
                 fresh &= fresh - 1;
@@ -1812,7 +1708,7 @@ impl SimCore {
     /// subscription graph does not model (mechanism-forced permutations).
     /// Subscription entries stay in place — the `sub_mask` invariant is a
     /// slot property, and a later fire on a woken slot is a no-op `min`.
-    pub(crate) fn wake_all(&mut self) {
+    fn wake_all(&mut self) {
         if !self.config.wake_scheduler {
             return;
         }
@@ -1828,15 +1724,6 @@ impl SimCore {
     /// [`SimCore::set_wake_scheduler`] toggle).
     pub fn wake_counters(&self) -> WakeCounters {
         self.wake
-    }
-
-    /// Credits `skips` parked-head skips and `stalls` unparked blocked
-    /// visits (the shard merge applies the workers' per-plan counts
-    /// through this; the counters are additive so apply order is
-    /// immaterial).
-    pub(crate) fn note_wake_skips(&mut self, skips: u64, stalls: u64) {
-        self.wake.skips += skips;
-        self.wake.stalls += stalls;
     }
 
     /// Switches the wake-driven Phase A scheduler on or off mid-assembly
@@ -1919,7 +1806,7 @@ impl SimCore {
                         s.j
                     ));
                 }
-                let here = NodeId(self.idx_here[slot]);
+                let here = self.topo.link(LinkId(self.idx_link[slot])).dst;
                 let expect = self.topo.out_links(here).get(s.j as usize).copied();
                 if expect != Some(LinkId(li as u32)) {
                     return Err(format!(
@@ -1944,7 +1831,7 @@ impl SimCore {
 
     /// Registers a pending request on `link` for this cycle's Phase B
     /// arbitration.
-    pub(crate) fn register_request(&mut self, link: LinkId, req: LinkRequest) {
+    fn register_request(&mut self, link: LinkId, req: LinkRequest) {
         let li = link.index();
         self.req_bits[li / 64] |= 1u64 << (li % 64);
         self.req_buf[li].push(req);
@@ -1952,9 +1839,8 @@ impl SimCore {
 
     /// Oldest-first ejection arbitration for the non-empty request
     /// `group` of ejection queue `q` (each entry `(q, arena idx, pid)`):
-    /// index of the winning entry. Rotation breaks ties. `&self` so shard
-    /// planners pick the identical winner (see [`crate::shard`]).
-    pub(crate) fn eject_winner(&self, q: usize, group: &[(usize, usize, PacketId)]) -> usize {
+    /// index of the winning entry. Rotation breaks ties.
+    fn eject_winner(&self, q: usize, group: &[(usize, usize, PacketId)]) -> usize {
         let now = self.cycle;
         let rot = (now as usize + q) % group.len();
         (0..group.len())
@@ -1970,9 +1856,8 @@ impl SimCore {
     /// Oldest-first link arbitration for the non-empty request list of
     /// output link `li`: index of the winning request. Rotation breaks
     /// ties; ties on `(age, rotation)` fall to the *last* maximum, so the
-    /// winner depends on list order — shard planners build their lists in
-    /// the serial sweep's order exactly so this picks the same request.
-    pub(crate) fn link_winner(&self, li: usize, reqs: &[LinkRequest]) -> usize {
+    /// winner depends on list order (the Phase A sweep order).
+    fn link_winner(&self, li: usize, reqs: &[LinkRequest]) -> usize {
         let rot = (self.cycle as usize + li) % reqs.len();
         (0..reqs.len())
             .max_by_key(|&i| (reqs[i].blocked_for, usize::from(i == rot)))
@@ -1980,7 +1865,7 @@ impl SimCore {
     }
 
     /// Resolves a target kind to the first currently free concrete VC.
-    pub(crate) fn resolve_target_vc(&self, cand: Candidate, vn: u8) -> Option<VcRef> {
+    fn resolve_target_vc(&self, cand: Candidate, vn: u8) -> Option<VcRef> {
         let vcs = self.config.vcs_per_vn as u8;
         let try_vc = |vc: u8| -> Option<VcRef> {
             let r = VcRef {
@@ -1997,31 +1882,10 @@ impl SimCore {
         }
     }
 
+    /// Commits a granted link request: frees the source, occupies the
+    /// resolved target VC, serializes the link, and records stats,
+    /// telemetry and trace events.
     fn commit_move(&mut self, req: &LinkRequest, out_link: LinkId) {
-        let deferred = self.commit_move_deferring(req, out_link, |_| false);
-        debug_assert!(deferred.is_none());
-    }
-
-    /// Commits a granted link request. `defer` inspects the resolved
-    /// target's arena index: when it returns `true` the target-VC
-    /// occupation (and the packet's location update) is *not* applied
-    /// here but returned as a [`PendingOccupy`] for the caller to apply
-    /// later via [`SimCore::apply_remote_occupy`] — the sharded kernel's
-    /// cross-shard handoff. Everything else (source vacation, link
-    /// serialization, stats, telemetry, trace events) commits
-    /// immediately either way, so the two paths are bit-identical.
-    ///
-    /// Deferral is sound within a cycle because nothing else inspects the
-    /// target slot before the barrier: each output link receives exactly
-    /// one grant and every grant's target VC sits on its own output link,
-    /// so no later commit's `resolve_target_vc` can observe the deferred
-    /// slot.
-    pub(crate) fn commit_move_deferring(
-        &mut self,
-        req: &LinkRequest,
-        out_link: LinkId,
-        defer: impl Fn(usize) -> bool,
-    ) -> Option<PendingOccupy> {
         let now = self.cycle;
         // Free the source.
         match req.source {
@@ -2056,11 +1920,8 @@ impl SimCore {
             .resolve_target_vc(cand, vn)
             .expect("target was free at request time and only one grant per link");
         let tidx = self.vc_index(target);
-        let deferred = defer(tidx);
-        if !deferred {
-            let arrive = now + self.config.link_latency as u64 + self.config.router_latency as u64;
-            self.occupy_slot(tidx, req.pid, arrive, now);
-        }
+        let arrive = now + self.config.link_latency as u64 + self.config.router_latency as u64;
+        self.occupy_slot(tidx, req.pid, arrive, now);
         self.link_busy[out_link.index()] = now + p_len;
         // Packet bookkeeping.
         let to_node = self.topo.link(out_link).dst;
@@ -2068,13 +1929,11 @@ impl SimCore {
         let new_d = self.dmap.distance(to_node, p.dest);
         let misroute = new_d >= old_d;
         let pm = self.packets.get_mut(req.pid);
-        if !deferred {
-            pm.loc = Location::Vc {
-                link: out_link,
-                vn: target.vn,
-                vc: target.vc,
-            };
-        }
+        pm.loc = Location::Vc {
+            link: out_link,
+            vn: target.vn,
+            vc: target.vc,
+        };
         pm.hops += 1;
         if misroute {
             pm.misroutes += 1;
@@ -2112,30 +1971,9 @@ impl SimCore {
                 misroute,
             });
         }
-        deferred.then_some(PendingOccupy {
-            tidx: tidx as u32,
-            pid: req.pid,
-        })
     }
 
-    /// Applies a deferred cross-shard occupation (see
-    /// [`SimCore::commit_move_deferring`]): the packet lands in its
-    /// resolved target VC with the same arrival time it would have
-    /// received at commit time (both run within the same cycle).
-    pub(crate) fn apply_remote_occupy(&mut self, pending: PendingOccupy) {
-        let now = self.cycle;
-        let tidx = pending.tidx as usize;
-        let arrive = now + self.config.link_latency as u64 + self.config.router_latency as u64;
-        self.occupy_slot(tidx, pending.pid, arrive, now);
-        let r = self.vc_ref_of_index(tidx);
-        self.packets.get_mut(pending.pid).loc = Location::Vc {
-            link: r.link,
-            vn: r.vn,
-            vc: r.vc,
-        };
-    }
-
-    pub(crate) fn commit_eject(&mut self, vc_idx: usize, pid: PacketId) {
+    fn commit_eject(&mut self, vc_idx: usize, pid: PacketId) {
         let now = self.cycle;
         debug_assert_eq!(self.vc_occ[vc_idx], pid.0);
         let len = self.vc_len[vc_idx] as u64;

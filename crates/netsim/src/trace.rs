@@ -628,11 +628,8 @@ pub enum TraceSink {
     /// Collect in memory (tests, golden traces).
     Memory(Vec<TraceEvent>),
     /// Stream as JSONL to any writer (files, pipes). Write errors are
-    /// counted ([`Tracer::sink_errors`]), not fatal. The writer is `Sync`
-    /// because [`crate::SimCore`] as a whole must be shareable with the
-    /// sharded kernel's worker threads (which never touch the sink; the
-    /// bound is what lets the compiler prove that sharing safe).
-    Writer(Box<dyn Write + Send + Sync>),
+    /// counted ([`Tracer::sink_errors`]), not fatal.
+    Writer(Box<dyn Write + Send>),
 }
 
 impl TraceSink {

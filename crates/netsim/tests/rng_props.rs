@@ -2,30 +2,19 @@
 //!
 //! The determinism contract v2 (see `drain_netsim::rng`) promises that a
 //! keyed draw is a pure function of `(seed, cycle, site, id)` — nothing
-//! else. Two consequences are load-bearing enough to pin as properties
-//! rather than examples:
-//!
-//! * **visit-order invariance**: evaluating any set of draw keys in any
-//!   permutation yields identical values per key. The serial draw stream
-//!   has the opposite character — a draw's value is determined by its
-//!   *position* in the sweep — and the contrast is asserted here too, so
-//!   the property cannot pass vacuously;
-//! * **partition invariance**: splitting the allocation sweep across an
-//!   arbitrary shard partition of an arbitrary connected topology
-//!   changes neither the results nor the number of draws performed —
-//!   shard planners compute draws only for the slots they own, with no
-//!   census replay.
+//! else. The load-bearing consequence is pinned as a property rather
+//! than an example: **visit-order invariance** — evaluating any set of
+//! draw keys in any permutation yields identical values per key. The
+//! serial draw stream has the opposite character — a draw's value is
+//! determined by its *position* in the sweep — and the contrast is
+//! asserted here too, so the property cannot pass vacuously.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use drain_netsim::mechanism::NoMechanism;
 use drain_netsim::rng::{mix, NUM_DRAW_SITES};
-use drain_netsim::routing::FullyAdaptive;
-use drain_netsim::traffic::{SyntheticPattern, SyntheticTraffic};
-use drain_netsim::{DrawSite, RngMode, Sim, SimConfig};
-use drain_topology::chiplet::random_connected;
+use drain_netsim::DrawSite;
 
 proptest! {
     /// Every key maps to the same value no matter where in the visit
@@ -81,65 +70,5 @@ proptest! {
             sb.sort_unstable();
             prop_assert_ne!(sa, sb);
         }
-    }
-}
-
-/// One keyed-mode run on the `shards`-way kernel: full debug-formatted
-/// statistics, final cycle, and per-site draw counts.
-fn keyed_run(
-    topo: &drain_topology::Topology,
-    sim_seed: u64,
-    shards: usize,
-) -> (String, u64, [u64; NUM_DRAW_SITES]) {
-    let config = SimConfig {
-        vns: 1,
-        vcs_per_vn: 2,
-        num_classes: 1,
-        seed: sim_seed,
-        watchdog_threshold: 0,
-        shards,
-        shard_min_active: 0,
-        ..SimConfig::default()
-    };
-    let mut sim = Sim::new(
-        topo.clone(),
-        config,
-        Box::new(FullyAdaptive::new(topo)),
-        Box::new(NoMechanism),
-        Box::new(SyntheticTraffic::new(
-            SyntheticPattern::UniformRandom,
-            0.20,
-            1,
-            sim_seed ^ 0x9E37,
-        )),
-    );
-    sim.set_rng_mode(RngMode::Keyed);
-    sim.run(800);
-    (
-        format!("{:?}", sim.stats()),
-        sim.core().cycle(),
-        sim.core().rng_draw_counts(),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// An arbitrary shard partition of an arbitrary connected topology
-    /// is invisible in keyed mode: identical statistics, identical final
-    /// cycle, and — because the planners sweep only owned slots instead
-    /// of replaying a global census — exactly the serial kernel's draw
-    /// counts.
-    #[test]
-    fn keyed_sharded_run_matches_serial_on_arbitrary_partitions(
-        n in 4u16..=20,
-        topo_seed in any::<u64>(),
-        k in 2usize..=8,
-        sim_seed in any::<u64>(),
-    ) {
-        let topo = random_connected(n, 3.0, topo_seed);
-        let serial = keyed_run(&topo, sim_seed, 1);
-        let sharded = keyed_run(&topo, sim_seed, k);
-        prop_assert_eq!(serial, sharded);
     }
 }

@@ -46,7 +46,6 @@ pub mod depgraph;
 pub mod distance;
 pub mod faults;
 mod graph;
-pub mod partition;
 pub mod updown;
 
 pub use graph::{IntoSharedTopology, LinkId, NodeId, Topology, TopologyError, UniLink};

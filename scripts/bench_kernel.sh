@@ -24,14 +24,8 @@
 #                                       in one process) written
 #                                       commit-stamped to
 #                                       BENCH_kernel_rng.json
-#   scripts/bench_kernel.sh --shards    bench the sim_kernel_shards group
-#                                       (saturated mesh(16,16) at shard
-#                                       counts 1/2/4/8) and merge the
-#                                       per-K medians plus the k4-vs-k1
-#                                       speedup into BENCH_kernel.json as
-#                                       its final "shards" key
 #
-# Keep PRESET_CYCLES, SCHEMES, and SHARD_CYCLES in sync with
+# Keep PRESET_CYCLES and SCHEMES in sync with
 # crates/bench/benches/sim_kernel.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -42,7 +36,6 @@ declare -A PRESET_CYCLES=(
 )
 PRESETS=(low saturated saturated_keyed irregular irregular_keyed)
 SCHEMES=(escapevc spin drain)
-SHARD_CYCLES=1500
 
 # Criterion directory for one preset's estimates ("irregular" lives in
 # its own benchmark group — a congested faulty mesh(12,12), the wake
@@ -100,56 +93,13 @@ if [[ "${1:-}" == "--rng" ]]; then
     # remain the per-scheme medians; this file records the floors.
     cargo build --release -p drain-bench --bin kernel_time --quiet
     lines=$(./target/release/kernel_time --preset all --reps 7)
-    # The sharded points are where the keyed contract retires real work
-    # (stream-mode planners replay the global draw census in every
-    # shard; keyed planners sweep only owned slots).
-    for k in 1 4 8; do
-        lines+=$'\n'$(./target/release/kernel_time --preset mesh16 --reps 7 --shards "$k")
-    done
+    lines+=$'\n'$(./target/release/kernel_time --preset mesh16 --reps 7)
     printf '{"commit":"%s","bench":"kernel_time","unit":"ns/cycle","points":[\n' \
         "$commit" > BENCH_kernel_rng.json
     printf '%s\n' "$lines" | sed '$!s/$/,/' >> BENCH_kernel_rng.json
     printf ']}\n' >> BENCH_kernel_rng.json
     echo "wrote BENCH_kernel_rng.json"
     cat BENCH_kernel_rng.json
-    exit 0
-fi
-
-if [[ "${1:-}" == "--shards" ]]; then
-    cargo bench -p drain-bench --bench sim_kernel -- 'sim_kernel_shards|sim_kernel_mesh16'
-    # Serial (K=1) mesh(16,16) saturated medians for all three headline
-    # schemes — the same-preset comparison for the per-K drain numbers.
-    serial_json=""
-    for scheme in "${SCHEMES[@]}"; do
-        ns=$(median_ns sim_kernel_mesh16/saturated "$scheme")
-        [[ -n "$ns" ]] || { echo "missing estimates for mesh16/$scheme" >&2; exit 1; }
-        serial_json+="\"$scheme\":$(per_cycle "$ns" "$SHARD_CYCLES"),"
-    done
-    shards_json=""
-    declare -A K_NPC
-    for k in 1 2 4 8; do
-        ns=$(median_ns sim_kernel_shards/mesh16 "k$k")
-        [[ -n "$ns" ]] || { echo "missing estimates for shards/k$k" >&2; exit 1; }
-        npc=$(per_cycle "$ns" "$SHARD_CYCLES")
-        K_NPC[$k]=$npc
-        shards_json+="\"k$k\":$npc,"
-    done
-    ratio=$(awk -v a="${K_NPC[1]}" -v b="${K_NPC[4]}" 'BEGIN { printf "%.2f", a / b }')
-    frag="\"shards\":{\"topo\":\"mesh16x16\",\"scheme\":\"drain\",\"rate\":0.40,"
-    frag+="\"cycles\":$SHARD_CYCLES,"
-    frag+="\"serial_ns_per_cycle\":{${serial_json%,}},"
-    frag+="\"median_ns_per_cycle\":{${shards_json%,}},"
-    frag+="\"speedup_k4_vs_k1\":$ratio}"
-    if [[ -f "$OUT" ]]; then
-        # Replace a previous "shards" key (always the final key) if
-        # present, else splice before the root's closing brace.
-        json=$(sed 's/,"shards":.*/}/' "$OUT")
-        printf '%s,%s}\n' "${json%\}}" "$frag" > "$OUT"
-    else
-        printf '{"commit":"%s","bench":"sim_kernel",%s}\n' "$commit" "$frag" > "$OUT"
-    fi
-    echo "wrote $OUT"
-    cat "$OUT"
     exit 0
 fi
 

@@ -17,24 +17,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> drain-fuzz smoke (invariants + differential oracle, 2-shard kernel)"
-# --smoke pins the 2-shard allocation kernel, so every smoke point also
-# soaks shard determinism: a sharded-kernel divergence shows up as an
-# oracle failure here. The wake-driven Phase A scheduler is on (config
-# default) for every leg, so the smoke — sabotage injection included —
-# also soaks the wake graph under the deep sweep's missed-wake oracle.
+echo "==> drain-fuzz smoke (invariants + differential oracle)"
+# The wake-driven Phase A scheduler is on (config default) for every
+# leg, so the smoke — sabotage injection included — also soaks the wake
+# graph under the deep sweep's missed-wake oracle.
 cargo build --release -p drain-bench --bin drain_fuzz --quiet
 ./target/release/drain_fuzz --smoke --json results/drain_fuzz_smoke.json
 ./target/release/drain_fuzz --smoke --seed-fault \
     --json results/drain_fuzz_smoke_fault.json
-
-echo "==> sharded-kernel differentials (serial vs 2/4-shard bit-identity)"
-# Headline schemes at a low and a saturated rate: Stats, final cycle and
-# trace bytes must be identical at every shard count (also run as part of
-# the workspace suite above; repeated here so a sharded-kernel regression
-# is named in CI output, not buried in a 400-test run).
-cargo test -p drain-bench --test determinism -q sharded_kernel
-cargo test -p drain-netsim -q shard
 
 echo "==> drain-trace smoke (event trace + telemetry on a 4x4 mesh)"
 # The binary re-parses every JSONL line it wrote and asserts drain-epoch
@@ -82,10 +72,8 @@ DRAIN_PHASE_A=dense cargo test -p drain-bench --test golden_pin -q
 echo "==> keyed-RNG smoke (keyed pins + differentials + keyed fuzz leg)"
 # The keyed counter-based RNG (DESIGN.md §11, determinism contract v2)
 # has its own golden-pin family and differential suite: keyed pins must
-# reproduce at K ∈ {1, 2, 4, 8} × wake on/off × fast-forward on/off,
-# the sharded planners must perform exactly the serial draw count (no
-# census replay), and keyed draws must be invariant under visit-order
-# permutations and arbitrary shard partitions. All keyed tests set
+# reproduce at wake on/off × fast-forward on/off, and keyed draws must
+# be invariant under visit-order permutations. All keyed tests set
 # their mode explicitly, so these filters are env-independent; the
 # DRAIN_RNG=keyed env path is exercised by the fuzz leg, which also
 # re-proves sabotage detection is mode-independent.
