@@ -344,6 +344,46 @@ mod tests {
     }
 
     #[test]
+    fn every_sim_shares_one_distance_map() {
+        use drain_topology::{chiplet::random_connected, faults::FaultInjector};
+        use std::sync::Arc;
+        let mesh = Topology::mesh(4, 4);
+        let topos = [
+            (FaultInjector::new(3).remove_links(&mesh, 3).unwrap(), false),
+            (random_connected(24, 3.0, 5), false),
+            (mesh, true),
+        ];
+        for (topo, full_mesh) in &topos {
+            let sim = |s: Scheme| {
+                s.synthetic_sim(
+                    topo,
+                    *full_mesh,
+                    SyntheticPattern::UniformRandom,
+                    0.05,
+                    1,
+                    Scheme::DEFAULT_EPOCH,
+                )
+            };
+            for s in Scheme::headline() {
+                let sim = sim(s);
+                let core = sim.core();
+                let routing_map = core
+                    .routing()
+                    .distance_map()
+                    .expect("headline routings keep a distance map");
+                assert!(
+                    Arc::ptr_eq(core.distance_map(), routing_map),
+                    "{} on {}: core and routing hold separate maps",
+                    s.label(),
+                    topo.name()
+                );
+            }
+            // Pure up*/down* keeps no map; the core's is the only one.
+            assert!(sim(Scheme::UpDown).core().routing().distance_map().is_none());
+        }
+    }
+
+    #[test]
     fn labels_are_unique() {
         let all = [
             Scheme::EscapeVc,

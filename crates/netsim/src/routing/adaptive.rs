@@ -31,7 +31,7 @@ use super::{push_rotated, Candidate, RouteCtx, Routing, TargetVc, WakeProfile};
 /// ```
 #[derive(Clone, Debug)]
 pub struct FullyAdaptive {
-    dmap: DistanceMap,
+    dmap: Arc<DistanceMap>,
     topo: Arc<Topology>,
     deflect_after: Option<u64>,
 }
@@ -53,15 +53,10 @@ impl FullyAdaptive {
     pub fn with_deflection(topo: impl IntoSharedTopology, deflect_after: Option<u64>) -> Self {
         let topo = topo.into_shared();
         FullyAdaptive {
-            dmap: DistanceMap::new(&topo),
+            dmap: Arc::new(DistanceMap::new(&topo)),
             topo,
             deflect_after,
         }
-    }
-
-    /// The underlying distance map.
-    pub fn distance_map(&self) -> &DistanceMap {
-        &self.dmap
     }
 
     /// The deflection threshold in blocked cycles.
@@ -125,6 +120,10 @@ impl Routing for FullyAdaptive {
         self.deflect_after
             .map_or(WakeProfile::Stable, WakeProfile::WidensAt)
     }
+
+    fn distance_map(&self) -> Option<&Arc<DistanceMap>> {
+        Some(&self.dmap)
+    }
 }
 
 #[cfg(test)]
@@ -168,12 +167,10 @@ mod tests {
         let r = FullyAdaptive::new(&topo);
         let mut out = Vec::new();
         r.candidates(&ctx(0, 15, 3), &mut out);
+        let d = r.distance_map().expect("adaptive routing keeps a map");
         for c in &out {
             let next = topo.link(c.link).dst;
-            assert!(
-                r.distance_map().distance(next, NodeId(15))
-                    < r.distance_map().distance(NodeId(0), NodeId(15))
-            );
+            assert!(d.distance(next, NodeId(15)) < d.distance(NodeId(0), NodeId(15)));
         }
     }
 

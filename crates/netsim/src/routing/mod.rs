@@ -25,7 +25,9 @@ pub use escape::{EscapeKind, EscapeVcRouting};
 pub use turnmodel::{TurnModel, TurnModelKind};
 pub use updown_all::UpDownAll;
 
-use drain_topology::{LinkId, NodeId};
+use std::sync::Arc;
+
+use drain_topology::{distance::DistanceMap, LinkId, NodeId};
 
 /// Which downstream VCs a candidate move may claim.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -105,6 +107,15 @@ pub trait Routing: Send {
     /// park, re-route every cycle.
     fn wake_profile(&self) -> WakeProfile {
         WakeProfile::Unstable
+    }
+
+    /// The all-pairs [`DistanceMap`] the routing was built on, if it keeps
+    /// one. The simulator core adopts this map for its own distance
+    /// queries instead of building a second one, so a routing that
+    /// returns a map must have built it from the simulated topology. The
+    /// default is `None`: the core builds its own.
+    fn distance_map(&self) -> Option<&Arc<DistanceMap>> {
+        None
     }
 }
 

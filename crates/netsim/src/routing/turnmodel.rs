@@ -69,52 +69,42 @@ impl TurnModel {
         self.topo.link_between(cur, next)
     }
 
-    /// Legal productive next hops from `cur` toward `dest`.
-    pub fn next_hops(&self, cur: NodeId, dest: NodeId) -> Vec<LinkId> {
+    /// Legal productive next hops from `cur` toward `dest` — at most two
+    /// on a mesh — written into `buf`; returns the filled prefix. The
+    /// caller's buffer keeps the per-packet routing query allocation-free.
+    pub fn next_hops<'a>(
+        &self,
+        cur: NodeId,
+        dest: NodeId,
+        buf: &'a mut [LinkId; 2],
+    ) -> &'a [LinkId] {
         let (cx, cy) = self.topo.coord(cur).expect("mesh coords");
         let (dx, dy) = self.topo.coord(dest).expect("mesh coords");
         let go_w = dx < cx;
         let go_e = dx > cx;
         let go_n = dy > cy; // +y
         let go_s = dy < cy; // -y
-        let mut out = Vec::new();
-        match self.kind {
+
+        // Directions to offer, in preference order.
+        let dirs: [(bool, i32, i32); 2] = match self.kind {
+            // Must finish all westward movement first.
+            TurnModelKind::WestFirst if go_w => [(true, -1, 0), (false, 0, 0)],
+            // East, then whichever of north/south is productive.
             TurnModelKind::WestFirst => {
-                if go_w {
-                    // Must finish all westward movement first.
-                    out.extend(self.neighbor(cur, -1, 0));
-                } else {
-                    if go_e {
-                        out.extend(self.neighbor(cur, 1, 0));
-                    }
-                    if go_n {
-                        out.extend(self.neighbor(cur, 0, 1));
-                    }
-                    if go_s {
-                        out.extend(self.neighbor(cur, 0, -1));
-                    }
-                }
+                [(go_e, 1, 0), (go_n || go_s, 0, if go_n { 1 } else { -1 })]
             }
-            TurnModelKind::NegativeFirst => {
-                if go_w || go_s {
-                    // Negative movement first, adaptively among negatives.
-                    if go_w {
-                        out.extend(self.neighbor(cur, -1, 0));
-                    }
-                    if go_s {
-                        out.extend(self.neighbor(cur, 0, -1));
-                    }
-                } else {
-                    if go_e {
-                        out.extend(self.neighbor(cur, 1, 0));
-                    }
-                    if go_n {
-                        out.extend(self.neighbor(cur, 0, 1));
-                    }
-                }
+            // Negative movement first, adaptively among negatives.
+            TurnModelKind::NegativeFirst if go_w || go_s => [(go_w, -1, 0), (go_s, 0, -1)],
+            TurnModelKind::NegativeFirst => [(go_e, 1, 0), (go_n, 0, 1)],
+        };
+        let mut len = 0;
+        for (wanted, ddx, ddy) in dirs {
+            if let Some(l) = wanted.then(|| self.neighbor(cur, ddx, ddy)).flatten() {
+                buf[len] = l;
+                len += 1;
             }
         }
-        out
+        &buf[..len]
     }
 }
 
@@ -127,13 +117,14 @@ impl Routing for TurnModel {
     }
 
     fn candidates(&self, ctx: &RouteCtx, out: &mut Vec<Candidate>) {
-        let links = self.next_hops(ctx.cur, ctx.dest);
+        let mut buf = [LinkId(0); 2];
+        let links = self.next_hops(ctx.cur, ctx.dest, &mut buf);
         let target = if ctx.in_escape {
             TargetVc::EscapeOnly
         } else {
             TargetVc::Any
         };
-        push_rotated(&links, ctx.sample, target, out);
+        push_rotated(links, ctx.sample, target, out);
     }
 
     fn wake_profile(&self) -> WakeProfile {
@@ -152,8 +143,9 @@ mod tests {
     fn walk(tm: &TurnModel, topo: &Topology, src: NodeId, dest: NodeId) -> u32 {
         let mut cur = src;
         let mut hops = 0;
+        let mut buf = [LinkId(0); 2];
         while cur != dest {
-            let hs = tm.next_hops(cur, dest);
+            let hs = tm.next_hops(cur, dest, &mut buf);
             assert!(!hs.is_empty(), "stuck at {cur:?} heading to {dest:?}");
             cur = topo.link(hs[0]).dst;
             hops += 1;
@@ -189,12 +181,13 @@ mod tests {
                 if s == t {
                     continue;
                 }
-                let hs = tm.next_hops(s, t);
+                let mut buf = [LinkId(0); 2];
+                let hs = tm.next_hops(s, t, &mut buf);
                 let (sx, _) = topo.coord(s).unwrap();
                 let (tx, _) = topo.coord(t).unwrap();
                 if tx < sx {
                     // Only the west link may be offered while west remains.
-                    for &l in &hs {
+                    for &l in hs {
                         let (nx, _) = topo.coord(topo.link(l).dst).unwrap();
                         assert!(nx < sx, "west-first must go west first");
                     }
@@ -238,10 +231,16 @@ mod tests {
         // From (0,0) to (2,2), west-first offers both +x and +y.
         let topo = Topology::mesh(5, 5);
         let tm = TurnModel::new(&topo, TurnModelKind::WestFirst);
-        let hs = tm.next_hops(NodeId(0), NodeId(12));
-        assert_eq!(hs.len(), 2);
+        let mut buf = [LinkId(0); 2];
+        let east_then_north = [
+            topo.link_between(NodeId(0), NodeId(1)).unwrap(),
+            topo.link_between(NodeId(0), NodeId(5)).unwrap(),
+        ];
+        assert_eq!(
+            tm.next_hops(NodeId(0), NodeId(12), &mut buf),
+            east_then_north
+        );
         // From (2,2) to (0,0), west-first forces pure west movement.
-        let hs = tm.next_hops(NodeId(12), NodeId(0));
-        assert_eq!(hs.len(), 1);
+        assert_eq!(tm.next_hops(NodeId(12), NodeId(0), &mut buf).len(), 1);
     }
 }

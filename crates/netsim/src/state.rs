@@ -166,7 +166,10 @@ pub struct SimCore {
     topo: Arc<Topology>,
     config: SimConfig,
     routing: Box<dyn Routing>,
-    dmap: DistanceMap,
+    /// All-pairs distances for misroute accounting and the invariant
+    /// checks: the routing's own map when it keeps one (one build per
+    /// simulation), otherwise built here.
+    dmap: Arc<DistanceMap>,
     /// VC arena, link-major: index `link * total_vcs + vn * vcs_per_vn +
     /// vc` into each of the struct-of-arrays buffers below. Occupant id,
     /// or [`EMPTY`].
@@ -290,7 +293,10 @@ impl SimCore {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is invalid (see [`SimConfig::validate`]).
+    /// Panics if `config` is invalid (see [`SimConfig::validate`]), or if
+    /// the routing's distance map (see [`Routing::distance_map`]) was
+    /// built for a different topology: its node ids and link ids would
+    /// name other routers and links than the simulation's.
     pub fn new(
         topo: impl IntoSharedTopology,
         config: SimConfig,
@@ -298,7 +304,23 @@ impl SimCore {
     ) -> Self {
         config.validate();
         let topo = topo.into_shared();
-        let dmap = DistanceMap::new(&topo);
+        let dmap = routing.distance_map().map_or_else(
+            || Arc::new(DistanceMap::new(&topo)),
+            |map| {
+                assert!(
+                    map.is_built_for(&topo),
+                    "routing `{}` was built for another topology ({} routers, {} links) \
+                     than the simulated `{}` ({} routers, {} links)",
+                    routing.name(),
+                    map.num_nodes(),
+                    map.num_links(),
+                    topo.name(),
+                    topo.num_nodes(),
+                    topo.num_unidirectional_links(),
+                );
+                Arc::clone(map)
+            },
+        );
         let m = topo.num_unidirectional_links();
         let n = topo.num_nodes();
         let total_vcs = config.total_vcs();
@@ -404,9 +426,16 @@ impl SimCore {
         self.packets.len()
     }
 
-    /// Distance map used for misroute accounting and adaptive routing.
-    pub fn distance_map(&self) -> &DistanceMap {
+    /// Distance map used for misroute accounting and the invariant
+    /// checks — the same allocation as the routing's
+    /// [`Routing::distance_map`] when the routing keeps one.
+    pub fn distance_map(&self) -> &Arc<DistanceMap> {
         &self.dmap
+    }
+
+    /// The routing function.
+    pub fn routing(&self) -> &dyn Routing {
+        &*self.routing
     }
 
     /// The structured event bus (captured events, emission counters).

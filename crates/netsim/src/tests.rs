@@ -507,3 +507,28 @@ fn telemetry_samples_on_cadence() {
     assert!(total_flits > 0, "uniform traffic moves flits");
     assert!(total_flits <= sim.stats().flit_hops);
 }
+
+#[test]
+#[should_panic(expected = "was built for another topology")]
+fn routing_built_for_another_faulty_mesh_is_refused() {
+    use drain_topology::faults::FaultInjector;
+    // Two faulty meshes with equal router and link counts: only the link
+    // fingerprint tells them apart, and the core must not silently adopt
+    // a distance map whose link ids name other links.
+    let mesh = Topology::mesh(4, 4);
+    let simulated = FaultInjector::new(1).remove_links(&mesh, 3).unwrap();
+    let other = FaultInjector::new(2).remove_links(&mesh, 3).unwrap();
+    assert_eq!(simulated.num_nodes(), other.num_nodes());
+    assert_eq!(
+        simulated.num_unidirectional_links(),
+        other.num_unidirectional_links()
+    );
+    assert_ne!(simulated.edge_list(), other.edge_list());
+    Sim::new(
+        simulated,
+        single_vc_config(),
+        Box::new(FullyAdaptive::new(&other)),
+        Box::new(NoMechanism),
+        Box::new(SyntheticTraffic::new(SyntheticPattern::UniformRandom, 0.0, 1, 0)),
+    );
+}

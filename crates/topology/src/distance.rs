@@ -5,8 +5,7 @@
 //! destination). Distances are hop counts from BFS over the unidirectional
 //! link graph, recomputed whenever the topology changes (fault events).
 
-use std::collections::VecDeque;
-
+use crate::csr::LinkCsr;
 use crate::{LinkId, NodeId, Topology};
 
 /// Dense all-pairs hop-count table plus per-(node, dest) productive-link
@@ -24,19 +23,20 @@ use crate::{LinkId, NodeId, Topology};
 /// // From a corner toward the opposite corner, both mesh directions are
 /// // productive.
 /// assert_eq!(d.productive_links(NodeId(0), NodeId(15)).len(), 2);
+/// assert!(d.is_built_for(&t));
 /// ```
 #[derive(Clone, Debug)]
 pub struct DistanceMap {
     num_nodes: usize,
+    num_links: usize,
+    /// [`Topology::fingerprint`] of the topology the map was built from.
+    fingerprint: u64,
     /// `dist[src * n + dst]`, `u16::MAX` = unreachable.
     dist: Vec<u16>,
-    /// Productive-link sets in CSR form: the links for pair `(cur, dst)`
-    /// are `prod_links[prod_off[cur * n + dst] .. prod_off[cur * n + dst + 1]]`.
-    /// One lookup is two loads into contiguous arrays — the per-packet
-    /// routing query in the simulator's hot loop — instead of chasing a
-    /// per-pair heap `Vec`.
-    prod_off: Vec<u32>,
-    prod_links: Vec<LinkId>,
+    /// Productive-link sets, row `cur * n + dst`. One lookup is two loads
+    /// into contiguous arrays — the per-packet routing query in the
+    /// simulator's hot loop — instead of chasing a per-pair heap `Vec`.
+    prod: LinkCsr,
     diameter: u16,
     avg_distance: f64,
 }
@@ -46,62 +46,62 @@ impl DistanceMap {
     pub fn new(topo: &Topology) -> Self {
         let n = topo.num_nodes();
         let mut dist = vec![u16::MAX; n * n];
-        // BFS from every destination over reversed edges gives
-        // dist(x, dest) for all x in one pass.
-        for dest in topo.nodes() {
-            let base = |x: usize| x * n + dest.index();
-            dist[base(dest.index())] = 0;
-            let mut q = VecDeque::new();
-            q.push_back(dest);
-            while let Some(v) = q.pop_front() {
-                let dv = dist[base(v.index())];
-                for &l in topo.in_links(v) {
-                    let u = topo.link(l).src;
-                    if dist[base(u.index())] == u16::MAX {
-                        dist[base(u.index())] = dv + 1;
-                        q.push_back(u);
+        // BFS from every source over the forward links fills row `src`:
+        // contiguous writes, and one flat queue reused for every source
+        // (each node enters it at most once per BFS).
+        let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+        for (src, row) in topo.nodes().zip(dist.chunks_exact_mut(n)) {
+            row[src.index()] = 0;
+            queue.clear();
+            queue.push(src);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                let du = row[u.index()];
+                for &l in topo.out_links(u) {
+                    let v = topo.link(l).dst.index();
+                    if row[v] == u16::MAX {
+                        row[v] = du + 1;
+                        queue.push(NodeId(v as u16));
                     }
                 }
             }
         }
-        // Build the CSR directly: the (cur, dest) row-major visit order is
-        // exactly the offset order, so links append to one flat buffer.
-        let mut prod_off = Vec::with_capacity(n * n + 1);
-        let mut prod_links = Vec::new();
-        prod_off.push(0u32);
-        for cur in topo.nodes() {
-            for dest in topo.nodes() {
-                let d = dist[cur.index() * n + dest.index()];
-                if cur != dest && d != u16::MAX {
-                    prod_links.extend(topo.out_links(cur).iter().copied().filter(|&l| {
-                        let next = topo.link(l).dst;
-                        dist[next.index() * n + dest.index()] == d - 1
-                    }));
-                }
-                prod_off.push(prod_links.len() as u32);
-            }
-        }
+        // Build the CSR row-major: for a fixed `cur`, the (cur, dest)
+        // visit order is the row order, and each productive test reads the
+        // neighbour's distance row sequentially in `dest`.
+        let mut prod = LinkCsr::with_rows(n * n);
+        let mut next: Vec<(LinkId, &[u16])> = Vec::new();
         let mut diameter = 0u16;
         let mut sum = 0u64;
         let mut pairs = 0u64;
-        for s in 0..n {
-            for t in 0..n {
-                if s == t {
-                    continue;
-                }
-                let d = dist[s * n + t];
-                if d != u16::MAX {
+        for cur in topo.nodes() {
+            next.clear();
+            next.extend(topo.out_links(cur).iter().map(|&l| {
+                let v = topo.link(l).dst.index();
+                (l, &dist[v * n..(v + 1) * n])
+            }));
+            let row = &dist[cur.index() * n..(cur.index() + 1) * n];
+            for (dest, &d) in row.iter().enumerate() {
+                if dest != cur.index() && d != u16::MAX {
                     diameter = diameter.max(d);
-                    sum += d as u64;
+                    sum += u64::from(d);
                     pairs += 1;
+                    for &(l, nrow) in &next {
+                        if nrow[dest] == d - 1 {
+                            prod.push(l);
+                        }
+                    }
                 }
+                prod.end_row();
             }
         }
         DistanceMap {
             num_nodes: n,
+            num_links: topo.num_unidirectional_links(),
+            fingerprint: topo.fingerprint(),
             dist,
-            prod_off,
-            prod_links,
+            prod,
             diameter,
             avg_distance: if pairs == 0 {
                 0.0
@@ -109,6 +109,27 @@ impl DistanceMap {
                 sum as f64 / pairs as f64
             },
         }
+    }
+
+    /// Whether the map was built from a topology with `topo`'s node count,
+    /// link count and link endpoints (a hash of every link's `(src, dst)`
+    /// in id order, recorded at build time) — i.e. whether its node and
+    /// link ids mean the same routers and links as `topo`'s.
+    pub fn is_built_for(&self, topo: &Topology) -> bool {
+        self.num_nodes == topo.num_nodes()
+            && self.num_links == topo.num_unidirectional_links()
+            && self.fingerprint == topo.fingerprint()
+    }
+
+    /// Number of routers of the topology the map was built from.
+    pub fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    /// Number of unidirectional links of the topology the map was built
+    /// from.
+    pub fn num_links(&self) -> usize {
+        self.num_links
     }
 
     /// Hop count from `src` to `dst` (`u16::MAX` if unreachable).
@@ -120,8 +141,7 @@ impl DistanceMap {
     /// Outgoing links of `cur` that lie on a minimal path to `dest`.
     #[inline]
     pub fn productive_links(&self, cur: NodeId, dest: NodeId) -> &[LinkId] {
-        let p = cur.index() * self.num_nodes + dest.index();
-        &self.prod_links[self.prod_off[p] as usize..self.prod_off[p + 1] as usize]
+        self.prod.row(cur.index() * self.num_nodes + dest.index())
     }
 
     /// Longest shortest path between any reachable pair.
@@ -145,7 +165,7 @@ impl DistanceMap {
                 if s == t {
                     continue;
                 }
-                sum += (self.prod_off[s * n + t + 1] - self.prod_off[s * n + t]) as usize;
+                sum += self.prod.row_len(s * n + t);
                 count += 1;
             }
         }

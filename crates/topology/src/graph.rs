@@ -384,6 +384,27 @@ impl Topology {
         self.links.len() / 2
     }
 
+    /// FNV-1a hash of the node count and every link's `(src, dst)` in id
+    /// order: two topologies with the same fingerprint have, with
+    /// overwhelming probability, the same links under the same ids.
+    /// Tables built from one topology record it so a consumer handed
+    /// tables for another one can refuse them.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
+            }
+        };
+        eat(&(self.num_nodes as u64).to_le_bytes());
+        for e in &self.links {
+            eat(&e.src.0.to_le_bytes());
+            eat(&e.dst.0.to_le_bytes());
+        }
+        h
+    }
+
     /// The unidirectional link with id `l`.
     ///
     /// # Panics

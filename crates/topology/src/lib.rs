@@ -42,10 +42,13 @@
 #![warn(missing_docs)]
 
 pub mod chiplet;
+mod csr;
 pub mod depgraph;
 pub mod distance;
 pub mod faults;
 mod graph;
+#[cfg(test)]
+mod oracle;
 pub mod updown;
 
 pub use graph::{IntoSharedTopology, LinkId, NodeId, Topology, TopologyError, UniLink};

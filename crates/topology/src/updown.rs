@@ -13,8 +13,7 @@
 //! router from the direction of the input link, exactly as in hardware
 //! implementations.
 
-use std::collections::VecDeque;
-
+use crate::csr::LinkCsr;
 use crate::{LinkId, NodeId, Topology};
 
 /// Direction of a unidirectional link relative to the spanning-tree root.
@@ -33,6 +32,20 @@ pub enum Phase {
     CanUp,
     /// A down link was taken: only down links are legal.
     DownOnly,
+}
+
+/// Table index of each [`Phase`] (the `phase as usize` of the accessors).
+const CAN_UP: usize = Phase::CanUp as usize;
+const DOWN_ONLY: usize = Phase::DownOnly as usize;
+
+/// Phase (table index) after a packet in `phase` takes a link in
+/// direction `dir`; `None` for the forbidden down→up turn.
+fn step(phase: usize, dir: LinkDirection) -> Option<usize> {
+    match (phase, dir) {
+        (CAN_UP, LinkDirection::Up) => Some(CAN_UP),
+        (_, LinkDirection::Down) => Some(DOWN_ONLY),
+        (_, LinkDirection::Up) => None,
+    }
 }
 
 /// Precomputed up*/down* labeling and minimal legal-path routing tables.
@@ -59,8 +72,8 @@ pub struct UpDownRouting {
     /// `dist[phase][u * n + dest]`: minimal legal hop count, `u16::MAX` if
     /// unreachable in that phase.
     dist: [Vec<u16>; 2],
-    /// `hops[phase][u * n + dest]`: minimal legal next-hop links.
-    hops: [Vec<Vec<LinkId>>; 2],
+    /// `hops[phase]` row `u * n + dest`: minimal legal next-hop links.
+    hops: [LinkCsr; 2],
 }
 
 impl UpDownRouting {
@@ -85,14 +98,16 @@ impl UpDownRouting {
         // BFS levels from the root.
         let mut level = vec![u16::MAX; n];
         level[root.index()] = 0;
-        let mut q = VecDeque::new();
-        q.push_back(root);
-        while let Some(u) = q.pop_front() {
+        let mut order = Vec::with_capacity(n);
+        order.push(root);
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
             for &l in topo.out_links(u) {
                 let v = topo.link(l).dst;
                 if level[v.index()] == u16::MAX {
                     level[v.index()] = level[u.index()] + 1;
-                    q.push_back(v);
+                    order.push(v);
                 }
             }
         }
@@ -114,69 +129,85 @@ impl UpDownRouting {
             })
             .collect();
 
-        // Per-destination BFS over the phase-expanded graph, reversed.
-        // Forward transitions: (u, CanUp) --up--> (v, CanUp)
-        //                      (u, CanUp) --down--> (v, DownOnly)
-        //                      (u, DownOnly) --down--> (v, DownOnly)
+        // Per-source BFS over the phase-expanded graph, forward:
+        //   (u, CanUp) --up--> (v, CanUp)
+        //   (u, CanUp) --down--> (v, DownOnly)
+        //   (u, DownOnly) --down--> (v, DownOnly)
+        // The legal distance from (src, phase) to x is the BFS level at
+        // which x is first reached in either phase, so each BFS fills row
+        // `src` of one phase's table with contiguous writes. State
+        // `x * 2 + phase` enters the flat queue at most once per BFS; the
+        // queue's contents are exactly the states whose `seen` flag to
+        // clear afterwards.
         let mut dist = [vec![u16::MAX; n * n], vec![u16::MAX; n * n]];
-        const CAN_UP: usize = 0;
-        const DOWN_ONLY: usize = 1;
-        for dest in topo.nodes() {
-            let di = dest.index();
-            dist[CAN_UP][di * n + di] = 0;
-            dist[DOWN_ONLY][di * n + di] = 0;
-            // BFS on reversed edges from both destination states.
-            let mut q: VecDeque<(NodeId, usize)> = VecDeque::new();
-            q.push_back((dest, CAN_UP));
-            q.push_back((dest, DOWN_ONLY));
-            while let Some((v, phase)) = q.pop_front() {
-                let dv = dist[phase][v.index() * n + di];
-                for &l in topo.in_links(v) {
-                    let u = topo.link(l).src;
-                    // Which forward transitions produce (v, phase)?
-                    let preds: &[usize] = match (dir[l.index()], phase) {
-                        (LinkDirection::Up, CAN_UP) => &[CAN_UP],
-                        (LinkDirection::Down, DOWN_ONLY) => &[CAN_UP, DOWN_ONLY],
-                        _ => &[],
-                    };
-                    for &p in preds {
-                        let slot = &mut dist[p][u.index() * n + di];
-                        if *slot == u16::MAX {
-                            *slot = dv + 1;
-                            q.push_back((u, p));
+        let mut seen = vec![false; 2 * n];
+        let mut queue: Vec<u32> = Vec::with_capacity(2 * n);
+        for src in topo.nodes() {
+            for phase in [CAN_UP, DOWN_ONLY] {
+                let row = &mut dist[phase][src.index() * n..(src.index() + 1) * n];
+                let start = (src.index() * 2 + phase) as u32;
+                queue.clear();
+                queue.push(start);
+                seen[start as usize] = true;
+                row[src.index()] = 0;
+                let (mut head, mut depth) = (0, 0u16);
+                while head < queue.len() {
+                    // One BFS level: the states queued so far at `depth`.
+                    let level_end = queue.len();
+                    depth += 1;
+                    while head < level_end {
+                        let state = queue[head] as usize;
+                        head += 1;
+                        let (u, p) = (state / 2, state % 2);
+                        for &l in topo.out_links(NodeId(u as u16)) {
+                            let Some(next) = step(p, dir[l.index()]) else {
+                                continue;
+                            };
+                            let v = topo.link(l).dst.index();
+                            let s = v * 2 + next;
+                            if !seen[s] {
+                                seen[s] = true;
+                                queue.push(s as u32);
+                                if row[v] == u16::MAX {
+                                    row[v] = depth;
+                                }
+                            }
                         }
                     }
                 }
+                for &s in &queue {
+                    seen[s as usize] = false;
+                }
             }
         }
-        // Next-hop sets from the distance tables.
-        let mut hops = [vec![Vec::new(); n * n], vec![Vec::new(); n * n]];
+        // Next-hop sets from the distance tables, row-major: for a fixed
+        // `u`, each legality test reads a neighbour's distance row
+        // sequentially in `dest`.
+        let mut hops = [LinkCsr::with_rows(n * n), LinkCsr::with_rows(n * n)];
+        // Per out link of `u`: the link, its direction, and the
+        // neighbour's distance row in each phase.
+        let mut next: Vec<(LinkId, LinkDirection, [&[u16]; 2])> = Vec::new();
         for u in topo.nodes() {
-            for dest in topo.nodes() {
-                if u == dest {
-                    continue;
-                }
+            next.clear();
+            next.extend(topo.out_links(u).iter().map(|&l| {
+                let v = topo.link(l).dst.index();
+                let rows = [
+                    &dist[CAN_UP][v * n..(v + 1) * n],
+                    &dist[DOWN_ONLY][v * n..(v + 1) * n],
+                ];
+                (l, dir[l.index()], rows)
+            }));
+            for dest in 0..n {
                 for phase in [CAN_UP, DOWN_ONLY] {
-                    let du = dist[phase][u.index() * n + dest.index()];
-                    if du == u16::MAX {
-                        continue;
+                    let du = dist[phase][u.index() * n + dest];
+                    if dest != u.index() && du != u16::MAX {
+                        for &(l, d, rows) in &next {
+                            if step(phase, d).is_some_and(|p| rows[p][dest] == du - 1) {
+                                hops[phase].push(l);
+                            }
+                        }
                     }
-                    let set: Vec<LinkId> = topo
-                        .out_links(u)
-                        .iter()
-                        .copied()
-                        .filter(|&l| {
-                            let v = topo.link(l).dst;
-                            let next_phase = match (phase, dir[l.index()]) {
-                                (CAN_UP, LinkDirection::Up) => CAN_UP,
-                                (_, LinkDirection::Down) => DOWN_ONLY,
-                                // Down→up turn is forbidden.
-                                (_, LinkDirection::Up) => return false,
-                            };
-                            dist[next_phase][v.index() * n + dest.index()] == du - 1
-                        })
-                        .collect();
-                    hops[phase][u.index() * n + dest.index()] = set;
+                    hops[phase].end_row();
                 }
             }
         }
@@ -230,7 +261,7 @@ impl UpDownRouting {
     /// Next-hop links on a minimal legal path from `cur` to `dest` given the
     /// packet's `phase`.
     pub fn next_hops(&self, cur: NodeId, dest: NodeId, phase: Phase) -> &[LinkId] {
-        &self.hops[phase as usize][cur.index() * self.num_nodes + dest.index()]
+        self.hops[phase as usize].row(cur.index() * self.num_nodes + dest.index())
     }
 }
 

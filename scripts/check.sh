@@ -38,6 +38,11 @@ cargo test -p drain-bench --test golden_trace -q
 echo "==> trace overhead benchmark (smoke mode)"
 cargo bench -p drain-bench --bench trace_overhead -- --test
 
+echo "==> routing-table benchmark (smoke mode: DistanceMap + up*/down* at 64/256/1024 routers)"
+# One untimed build of each all-pairs table per size; no timing gate,
+# but a regression to per-pair heap tables at least runs here.
+cargo bench -p drain-bench --bench routing_tables -- --test
+
 echo "==> kernel benchmark (smoke mode: untimed low + saturated presets)"
 # One untimed pass of every (preset, scheme) point — including the
 # saturated preset, so the dense-sweep path can't silently break — plus
